@@ -54,11 +54,7 @@ async def run_benchmark(model, spec, store_dir, *, levels, queries_per_level,
         model,
         store,
         {"default": spec},
-        config=DaemonConfig(
-            window_ms=2.0,
-            max_pending=max_pending,
-            allow_remote_shutdown=True,
-        ),
+        config=DaemonConfig(max_pending=max_pending, allow_remote_shutdown=True),
     )
     host, port = await daemon.start(port=0)
     synopsis = store.get_or_build(model, spec)
@@ -167,7 +163,7 @@ def main(argv=None) -> int:
             "queries_per_level": queries_per_level,
             "burst": burst,
             "max_pending": max_pending,
-            "window_ms": 2.0,
+            "window_ms": report["server"]["window_ms"],
             "seed": seed,
         },
         "checks": {

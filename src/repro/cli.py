@@ -84,13 +84,15 @@ from .experiments import (
 )
 from .histograms.kernels import AUTO_KERNEL, available_kernels
 from .io import read_model, read_synopsis, write_model, write_synopsis
-from .service.server import DEFAULT_PORT
+from .service.server import DEFAULT_PORT, DaemonConfig
 
 __all__ = ["main", "build_parser"]
 
 _METRIC_CHOICES = [metric.value for metric in ErrorMetric]
 _DATASET_CHOICES = ["movies", "tpch", "sensors"]
 _KERNEL_CHOICES = [AUTO_KERNEL, *available_kernels()]
+#: ``serve``'s tunable defaults are DaemonConfig's own.
+_DAEMON_DEFAULTS = DaemonConfig()
 
 # Single source of the serving-command build-flag defaults: the parser reads
 # them, and --spec conflict detection compares against them.
@@ -277,15 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="interface to bind")
     serve.add_argument("--port", type=int, default=DEFAULT_PORT,
                        help=f"TCP port (default {DEFAULT_PORT}; 0 = any free port)")
-    serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batching window in milliseconds")
-    serve.add_argument("--max-pending", type=int, default=1024,
+    serve.add_argument("--window-ms", type=float, default=_DAEMON_DEFAULTS.window_ms,
+                       help="delay a batch's flush this many milliseconds past its "
+                       "first query (0 = the next event-loop turn)")
+    serve.add_argument("--max-pending", type=int, default=_DAEMON_DEFAULTS.max_pending,
                        help="admission control: total pending-queue depth")
-    serve.add_argument("--max-inflight", type=int, default=64,
+    serve.add_argument("--max-inflight", type=int,
+                       default=_DAEMON_DEFAULTS.max_inflight_per_client,
                        help="admission control: per-client in-flight cap")
-    serve.add_argument("--max-batch", type=int, default=4096,
-                       help="flush a window early at this many coalesced queries")
-    serve.add_argument("--max-engines", type=int, default=8,
+    serve.add_argument("--max-batch", type=int, default=_DAEMON_DEFAULTS.max_batch,
+                       help="flush a batch early at this many coalesced queries")
+    serve.add_argument("--max-engines", type=int, default=_DAEMON_DEFAULTS.max_engines,
                        help="hot engine-cache size (evicted targets degrade to the store)")
     serve.add_argument("--build-on-miss", action="store_true",
                        help="rebuild a missing synopsis synchronously instead of "
@@ -302,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                        default="info",
                        help="structured JSON log level on stderr (default info)")
-    serve.add_argument("--slow-query-ms", type=float, default=None, metavar="MS",
+    serve.add_argument("--slow-query-ms", type=float, default=_DAEMON_DEFAULTS.slow_query_ms,
+                       metavar="MS",
                        help="log a structured slow-query record (with the flush's "
                        "span tree) for any engine flush at or above this wall time")
 
@@ -527,8 +532,8 @@ def _run_query(args: argparse.Namespace) -> str:
         BatchQueryEngine,
         QueryBatch,
         QueryRequest,
+        encode_responses,
         replay,
-        responses_for,
     )
 
     def parse_range(text: str):
@@ -590,8 +595,8 @@ def _run_query(args: argparse.Namespace) -> str:
         )
 
     # Explicit queries travel through the one wire schema: CLI flags become
-    # QueryRequests, the engine answers the coalesced batch, and responses_for
-    # attributes answers per query exactly as the daemon would.
+    # QueryRequests, the engine answers the coalesced batch, and --json
+    # encodes the answers exactly as the daemon would.
     try:
         requests = [
             QueryRequest.point(f"q{position}", item)
@@ -612,19 +617,18 @@ def _run_query(args: argparse.Namespace) -> str:
     batch = QueryBatch.from_requests(requests)
     answers = engine.answer(batch)
     errors = engine.attribute_errors(batch)
-    responses = responses_for(requests, answers, errors)
     if args.json:
-        lines = [response.to_json() for response in responses]
+        lines = [
+            line.decode().rstrip("\n") for line in encode_responses(requests, answers, errors)
+        ]
         if args.stats:
             lines.append(json_module.dumps(stats_payload, sort_keys=True))
         return "\n".join(lines)
     lines = [f"{'query':<24} {'answer':>14} {'expected error':>16}"]
-    for request, response in zip(requests, responses):
+    for request, answer, error in zip(requests, answers, errors):
         kind, start, end = request.kind, request.start, request.end
         label = f"{kind}[{start}]" if kind == "point" else f"{kind}[{start}:{end}]"
-        lines.append(
-            f"{label:<24} {response.answer:>14.6g} {response.expected_error:>16.6g}"
-        )
+        lines.append(f"{label:<24} {answer:>14.6g} {error:>16.6g}")
     return with_stats("\n".join(lines))
 
 
@@ -643,13 +647,27 @@ def _render_store_stats(store) -> str:
     )
 
 
+def _daemon_config(args: argparse.Namespace) -> DaemonConfig:
+    """The :class:`DaemonConfig` a parsed ``serve`` command line asks for."""
+    return DaemonConfig(
+        window_ms=args.window_ms,
+        max_pending=args.max_pending,
+        max_inflight_per_client=args.max_inflight,
+        max_batch=args.max_batch,
+        max_engines=args.max_engines,
+        build_on_miss=args.build_on_miss,
+        allow_remote_shutdown=args.allow_remote_shutdown,
+        slow_query_ms=args.slow_query_ms,
+    )
+
+
 def _serve(args: argparse.Namespace) -> str:
     """Run the serving daemon until a signal or a remote shutdown stops it."""
     import asyncio
     import signal
     from pathlib import Path
 
-    from .service import DaemonConfig, ServingDaemon, SynopsisStore
+    from .service import ServingDaemon, SynopsisStore
     from .telemetry import configure_logging
 
     configure_logging(args.log_level)
@@ -662,16 +680,7 @@ def _serve(args: argparse.Namespace) -> str:
     targets = {"default": spec}
     for extra in args.also_budget:
         targets[f"b{extra}"] = spec.with_budget(extra)
-    config = DaemonConfig(
-        window_ms=args.window_ms,
-        max_pending=args.max_pending,
-        max_inflight_per_client=args.max_inflight,
-        max_batch=args.max_batch,
-        max_engines=args.max_engines,
-        build_on_miss=args.build_on_miss,
-        allow_remote_shutdown=args.allow_remote_shutdown,
-        slow_query_ms=args.slow_query_ms,
-    )
+    config = _daemon_config(args)
     daemon = ServingDaemon(model, store, targets, config=config, default_target="default")
 
     async def _run() -> None:

@@ -13,8 +13,8 @@ those synopses up against query traffic:
   of mixed point / range-sum / range-avg :class:`QueryBatch` es, with
   per-query expected-error attribution from the per-item expected errors;
 * :class:`QueryRequest` / :class:`QueryResponse` — the versioned wire
-  schema (:mod:`repro.service.protocol`), the single serialisation point
-  shared by the engine path, the CLI and the daemon;
+  schema (:mod:`repro.service.protocol`), whose :func:`encode_responses`
+  is the one place the CLI and the daemon turn answers into bytes;
 * :class:`ServingDaemon` — the asyncio TCP daemon
   (:mod:`repro.service.server`): micro-batching request coalescer,
   admission control, graceful-degradation ladder, draining shutdown;
@@ -35,6 +35,7 @@ from .protocol import (
     RESPONSE_STATUSES,
     QueryRequest,
     QueryResponse,
+    encode_responses,
     error_response,
     latency_summary,
     responses_for,
@@ -66,6 +67,7 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "responses_for",
+    "encode_responses",
     "error_response",
     "latency_summary",
     "DaemonConfig",

@@ -12,7 +12,7 @@ Three measurement phases, each optional:
   its own connection, send a query and wait for its answer before sending
   the next.  Reported per level: queries/sec, latency percentiles, response
   statuses, and the server-side engine-batch delta — whose ratio to the
-  query count is the coalescing factor the micro-batching window bought.
+  query count is the coalescing factor, the queries one engine call answered.
 * **Overload burst** (open loop): workers send at a fixed target rate
   without waiting for responses, intentionally exceeding the daemon's
   admission limits.  The report shows bounded latency plus explicit

@@ -1,13 +1,14 @@
 """Versioned wire schema for the synopsis serving layer.
 
 One schema, three surfaces.  :class:`QueryRequest` / :class:`QueryResponse`
-are the *only* serialisation point for query traffic: the vectorised engine
-path answers batches assembled by :meth:`QueryBatch.from_requests
-<repro.service.queries.QueryBatch.from_requests>`, the CLI ``query`` command
-renders (and, with ``--json``, emits verbatim) the same response objects,
-and the asyncio daemon (:mod:`repro.service.server`) speaks them as
-newline-delimited JSON over TCP.  There is no second place where a query or
-an answer is turned into bytes, so the three surfaces cannot drift apart.
+define the wire form of query traffic: the vectorised engine path answers
+batches assembled by :meth:`QueryBatch.from_requests
+<repro.service.queries.QueryBatch.from_requests>`, and both the CLI
+``query --json`` command and the asyncio daemon (:mod:`repro.service.server`)
+turn a batch's answers into newline-delimited JSON with one function,
+:func:`encode_responses`, whose lines are byte-identical to
+:meth:`QueryResponse.to_json`.  There is no second place where an answer is
+turned into bytes, so the surfaces cannot drift apart.
 
 The schema is versioned (:data:`PROTOCOL_VERSION`): every payload carries a
 ``version`` field, and anything outside the supported window
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "OP_METRICS",
     "OP_SHUTDOWN",
     "WIRE_OPS",
+    "encode_responses",
     "error_response",
     "responses_for",
     "latency_summary",
@@ -370,17 +373,12 @@ def error_response(request_id: Optional[RequestId], detail: str, *,
     )
 
 
-def responses_for(
+def _positional(
     requests: Sequence[QueryRequest],
     answers: np.ndarray,
-    expected_errors: Optional[np.ndarray] = None,
-) -> List[QueryResponse]:
-    """Attribute a batch's answers back to its requests, in order.
-
-    ``answers`` (and, optionally, ``expected_errors``) are the engine's
-    positional outputs for the batch built by ``QueryBatch.from_requests``;
-    this is the single place a batch answer becomes per-query responses.
-    """
+    expected_errors: Optional[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``answers`` (and ``expected_errors``) as float arrays, one per request."""
     answers = np.asarray(answers, dtype=float)
     if answers.shape != (len(requests),):
         raise ProtocolError(
@@ -393,6 +391,21 @@ def responses_for(
             raise ProtocolError(
                 f"got {expected_errors.size} expected errors for {len(requests)} requests"
             )
+    return answers, expected_errors
+
+
+def responses_for(
+    requests: Sequence[QueryRequest],
+    answers: np.ndarray,
+    expected_errors: Optional[np.ndarray] = None,
+) -> List[QueryResponse]:
+    """Attribute a batch's answers back to its requests, in order.
+
+    ``answers`` (and, optionally, ``expected_errors``) are the engine's
+    positional outputs for the batch built by ``QueryBatch.from_requests``.
+    :func:`encode_responses` writes the same responses straight to wire bytes.
+    """
+    answers, expected_errors = _positional(requests, answers, expected_errors)
     return [
         QueryResponse(
             id=request.id,
@@ -402,6 +415,49 @@ def responses_for(
             else float(expected_errors[position]),
         )
         for position, request in enumerate(requests)
+    ]
+
+
+def _json_id(request_id: RequestId) -> str:
+    """What ``json.dumps`` writes for a validated id, without its per-call set-up."""
+    if isinstance(request_id, str):
+        return encode_basestring_ascii(request_id)
+    return int.__repr__(request_id)
+
+
+def _json_floats(values: np.ndarray) -> List[str]:
+    """What ``json.dumps`` writes for each float (``NaN``/``Infinity`` included)."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def encode_responses(
+    requests: Sequence[QueryRequest],
+    answers: np.ndarray,
+    expected_errors: Optional[np.ndarray] = None,
+) -> List[bytes]:
+    """The ``ok`` wire lines answering ``requests``, newline-terminated, in order.
+
+    Line ``i`` is byte-identical to ``QueryResponse(id=requests[i].id,
+    answer=answers[i], expected_error=expected_errors[i]).to_json() + "\\n"``
+    (same key order, the same JSON text for every id and float) but is built
+    without validating one :class:`QueryResponse` per answer: the ids were
+    validated with their requests, and the answers are the engine's floats.
+    """
+    answers, expected_errors = _positional(requests, answers, expected_errors)
+    if not requests:
+        return []
+    head = '{"version":%d,"id":' % PROTOCOL_VERSION
+    ids = [_json_id(request.id) for request in requests]
+    answer_texts = _json_floats(answers)
+    if expected_errors is None:
+        return [
+            f'{head}{request_id},"status":"ok","answer":{answer}}}\n'.encode()
+            for request_id, answer in zip(ids, answer_texts)
+        ]
+    return [
+        f'{head}{request_id},"status":"ok","answer":{answer},"expected_error":{error}}}\n'
+        .encode()
+        for request_id, answer, error in zip(ids, answer_texts, _json_floats(expected_errors))
     ]
 
 

@@ -177,9 +177,9 @@ class QueryBatch:
         """Build a batch from wire :class:`~repro.service.protocol.QueryRequest` s.
 
         The batch preserves request order, which is what lets
-        :func:`~repro.service.protocol.responses_for` attribute the engine's
-        positional answers back to the originating requests (the daemon's
-        coalescer relies on exactly this round trip).  Requests are already
+        :func:`~repro.service.protocol.encode_responses` attribute the
+        engine's positional answers back to the originating requests (the
+        daemon's coalescer relies on exactly this round trip).  Requests are already
         validated at construction, so no re-validation happens here.
         """
         return cls(

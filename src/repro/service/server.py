@@ -6,14 +6,14 @@ newline-delimited JSON over TCP (stdlib only — no web framework), one
 :class:`~repro.service.protocol.QueryResponse` per line out.  Three
 mechanisms make it a serving tier rather than a socket wrapper:
 
-* **Request coalescing.**  Concurrent queries against the same target are
-  collected into one :class:`~repro.service.queries.QueryBatch` per
-  micro-batching window (``window_ms``, default 2 ms; the window arms when
-  the first query of a batch arrives).  The vectorised
-  :class:`~repro.service.engine.BatchQueryEngine` then amortises one dense
-  NumPy evaluation across every waiting client, so the engine-call count
-  grows with *windows*, not with *queries* — the effect the load generator
-  measures as the coalescing factor.
+* **Request coalescing.**  Queries against one target that are admitted
+  before their flush runs share one :class:`~repro.service.queries.QueryBatch`
+  and one :class:`~repro.service.engine.BatchQueryEngine` call.  The flush
+  runs ``window_ms`` after the batch's first query; at the default of 0 that
+  is the next event-loop turn, so an idle daemon answers at once and, under
+  load, a batch is every request that queued in the socket buffers while the
+  previous flush ran.  A flush encodes its replies in one pass and writes
+  once per connection.
 
 * **Admission control.**  The pending-queue depth is bounded
   (``max_pending`` across all targets) and every connection has an in-flight
@@ -32,22 +32,23 @@ mechanisms make it a serving tier rather than a socket wrapper:
   ask for.
 
 Shutdown is graceful: :meth:`ServingDaemon.stop` stops accepting, flushes
-every armed window immediately, waits for in-flight responses to drain and
-only then closes connections.
+every pending query immediately, waits for the replies to drain and only
+then closes connections.
 
-Flushes run synchronously on the event loop — the whole point of
-micro-batching is that the engine call is one short dense evaluation, and a
-synchronous flush makes batch composition deterministic under test.
+Flushes and replies run synchronously on the event loop, which keeps batch
+composition deterministic under test.  The read loop awaits ``drain()``
+after each request, so a client that stops reading stalls only itself.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -72,15 +73,17 @@ from .protocol import (
     OP_SHUTDOWN,
     OP_STATS,
     PROTOCOL_VERSION,
+    STATUS_ERROR,
     STATUS_OVERLOADED,
     STATUS_UNAVAILABLE,
     WIRE_OPS,
     QueryRequest,
-    QueryResponse,
+    encode_responses,
     error_response,
     parse_request_line,
     request_id_of,
-    responses_for,
+    # Not called here: perfbench's per-layer timers wrap this module attribute.
+    responses_for,  # noqa: F401
 )
 from .queries import QueryBatch
 from .store import SynopsisStore, fingerprint_data
@@ -90,26 +93,32 @@ __all__ = ["DaemonConfig", "ServingDaemon", "ServingStats", "DEFAULT_PORT"]
 #: Default TCP port for ``repro-synopses serve`` (any free port via 0).
 DEFAULT_PORT = 7209
 
+#: Longest request line the daemon reads (asyncio's default stream limit).
+#: A longer line is answered with an ``error`` and its connection closed.
+MAX_LINE_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
     """Tunables for :class:`ServingDaemon`, validated at construction.
 
-    ``window_ms`` trades per-query latency for coalescing opportunity;
-    ``max_pending`` / ``max_inflight_per_client`` are the admission-control
-    limits; ``max_batch`` flushes a window early once enough queries have
-    coalesced; ``max_engines`` bounds the hot engine cache (evicted targets
-    degrade to a store re-resolution); ``build_on_miss`` decides the bottom
-    rung of the degradation ladder (rebuild synchronously vs. reject with
-    ``unavailable``); ``attribute_errors`` controls whether responses carry
-    per-query expected-error mass (costs one exact per-item evaluation per
-    target at warm-up); ``slow_query_ms`` (``None`` = off) is the forensics
-    threshold — any flush whose wall time reaches it emits one structured
-    JSON record (query, coalesced batch size, degradation-ladder rung, span
-    tree) on the ``repro.daemon.slow_query`` logger.
+    ``window_ms`` delays a batch's flush past its first query, trading
+    latency for coalescing (0, the default, flushes on the next event-loop
+    turn); ``max_pending`` / ``max_inflight_per_client`` are the
+    admission-control limits; ``max_batch`` flushes a batch early once
+    enough queries have coalesced; ``max_engines`` bounds the hot engine
+    cache (evicted targets degrade to a store re-resolution);
+    ``build_on_miss`` decides the bottom rung of the degradation ladder
+    (rebuild synchronously vs. reject with ``unavailable``);
+    ``attribute_errors`` controls whether responses carry per-query
+    expected-error mass (costs one exact per-item evaluation per target at
+    warm-up); ``slow_query_ms`` (``None`` = off) is the forensics threshold
+    — any flush whose wall time reaches it emits one structured JSON record
+    (query, coalesced batch size, degradation-ladder rung, span tree) on the
+    ``repro.daemon.slow_query`` logger.
     """
 
-    window_ms: float = 2.0
+    window_ms: float = 0.0
     max_pending: int = 1024
     max_inflight_per_client: int = 64
     max_batch: int = 4096
@@ -121,8 +130,8 @@ class DaemonConfig:
     slow_query_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.window_ms <= 0:
-            raise SynopsisError("the micro-batching window must be positive")
+        if self.window_ms < 0:
+            raise SynopsisError("the micro-batching window must be non-negative")
         for name in ("max_pending", "max_inflight_per_client", "max_batch", "max_engines"):
             if int(getattr(self, name)) <= 0:
                 raise SynopsisError(f"{name} must be positive")
@@ -190,11 +199,25 @@ class ServingStats:
 
 @dataclass(eq=False)
 class _Connection:
-    """Per-connection state: serialised writes and the in-flight cap."""
+    """One client: its writer and its count of admitted, unanswered queries."""
 
     writer: asyncio.StreamWriter
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     inflight: int = 0
+
+    def write(self, data: bytes) -> None:
+        """Queue ``data`` on the transport, unless the client has gone."""
+        if not self.writer.is_closing():
+            self.writer.write(data)
+
+    def send(self, payload: Mapping[str, Any]) -> None:
+        """One JSON line, encoded as ``QueryResponse.to_json`` encodes."""
+        self.write((json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8"))
+
+    def reject(self, request_id: Any, detail: str, status: str = STATUS_ERROR) -> None:
+        """An error response echoing ``request_id`` when it is a valid id."""
+        if isinstance(request_id, bool) or not isinstance(request_id, (int, str)):
+            request_id = None
+        self.send(error_response(request_id, detail, status=status).to_dict())
 
 
 class ServingDaemon:
@@ -248,10 +271,11 @@ class ServingDaemon:
         self._m_connections = reg.counter(
             "repro_daemon_connections_total", "TCP connections accepted"
         )
-        self._m_requests = reg.counter(
+        requests = reg.counter(
             "repro_daemon_requests_total", "Wire requests dispatched, by op",
             labelnames=("op",),
         )
+        self._m_requests = {op: requests.labels(op=op) for op in WIRE_OPS}
         self._m_queries = reg.counter(
             "repro_daemon_queries_answered_total", "Queries answered with status ok"
         )
@@ -280,7 +304,7 @@ class ServingDaemon:
             "repro_daemon_engine_evictions_total", "Hot engines evicted by the LRU cap"
         )
         self._m_pending = reg.gauge(
-            "repro_daemon_pending_queries", "Queries waiting in micro-batching windows"
+            "repro_daemon_pending_queries", "Queries admitted and waiting for their flush"
         )
         self._m_slow = reg.counter(
             "repro_daemon_slow_queries_total",
@@ -292,10 +316,10 @@ class ServingDaemon:
         self._engines: "OrderedDict[str, BatchQueryEngine]" = OrderedDict()
         self._errors: Dict[str, np.ndarray] = {}
         self._domain_sizes: Dict[str, int] = {}
-        self._pending: Dict[str, List[Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]]] = {}
+        self._pending: Dict[str, List[Tuple[QueryRequest, _Connection]]] = {}
         self._pending_total = 0
         self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
-        self._tasks: Set["asyncio.Task[None]"] = set()
+        self._stop_task: Optional["asyncio.Task[None]"] = None
         self._handler_tasks: Set["asyncio.Task[None]"] = set()
         self._connections: Set[_Connection] = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -440,7 +464,9 @@ class ServingDaemon:
         telemetry.enable()
         self.warm()
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(self._handle_client, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_client, host, port, limit=MAX_LINE_BYTES
+        )
         sockets = self._server.sockets or []
         if not sockets:  # pragma: no cover - start_server always binds or raises
             raise SynopsisError("the daemon failed to bind a socket")
@@ -461,12 +487,12 @@ class ServingDaemon:
         await self._stopped.wait()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, flush windows, drain, close.
+        """Graceful shutdown: stop accepting, flush, drain, close.
 
-        Every query already admitted is answered — armed micro-batching
-        windows are flushed immediately rather than waiting out their
-        timers, and the daemon waits (bounded by ``drain_timeout``) for the
-        responses to reach their clients before closing connections.
+        Every query already admitted is answered — pending batches are
+        flushed immediately rather than waiting for their scheduled flush,
+        and the daemon waits (bounded by ``drain_timeout``) for every open
+        connection's replies to drain before closing connections.
         """
         if self._draining:
             if self._stopped is not None:
@@ -479,27 +505,26 @@ class ServingDaemon:
             self._log, logging.INFO, "daemon.drain",
             pending=self._pending_total, connections=len(self._connections),
         )
-        for name, handle in list(self._flush_handles.items()):
+        for handle in self._flush_handles.values():
             handle.cancel()
-            self._flush_handles.pop(name, None)
+        self._flush_handles.clear()
         drained = self._pending_total
         for name in list(self._pending):
             self._flush(name)
         self.stats.drained_queries += drained
-        # A remote shutdown runs stop() as one of the tracked tasks, and the
-        # triggering connection's handler is blocked on *this* coroutine:
-        # exclude both or the drain would wait on itself.
-        current = asyncio.current_task()
-        pending_tasks = [task for task in self._tasks if task is not current]
-        if pending_tasks:
-            await asyncio.wait(pending_tasks, timeout=self._config.drain_timeout)
-        for connection in list(self._connections):
+        connections = list(self._connections)
+        drains = asyncio.gather(
+            *(connection.writer.drain() for connection in connections), return_exceptions=True
+        )
+        # A client that never reads its replies holds shutdown for drain_timeout at most.
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(drains, timeout=self._config.drain_timeout)
+        for connection in connections:
             connection.writer.close()
         # Closing the transports EOFs the readers; wait for the connection
         # handlers to notice and exit so loop teardown finds no stray tasks.
-        handler_tasks = [task for task in self._handler_tasks if task is not current]
-        if handler_tasks:
-            await asyncio.wait(handler_tasks, timeout=self._config.drain_timeout)
+        if self._handler_tasks:
+            await asyncio.wait(list(self._handler_tasks), timeout=self._config.drain_timeout)
         if self._server is not None:
             await self._server.wait_closed()
         log_event(
@@ -514,10 +539,6 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    def _track(self, task: "asyncio.Task[None]") -> None:
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         self.stats.connections += 1
@@ -530,165 +551,136 @@ class ServingDaemon:
             task.add_done_callback(self._handler_tasks.discard)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF; empty unless the last line is unterminated
+                except asyncio.LimitOverrunError:
+                    # Answer once and hang up.  Reading to the end of the line
+                    # first makes the close a FIN: closing with unread input
+                    # would reset the connection and could lose the answer.
+                    self.stats.requests += 1
+                    self.stats.protocol_errors += 1
+                    connection.reject(None, f"request line exceeds {MAX_LINE_BYTES} bytes")
+                    while (chunk := await reader.read(MAX_LINE_BYTES)) and b"\n" not in chunk:
+                        pass
+                    break
                 if not line:
                     break
                 line = line.strip()
                 if not line:
                     continue
                 self.stats.requests += 1
-                await self._dispatch(line, connection)
-        except (ConnectionResetError, BrokenPipeError):
+                self._dispatch(line, connection)
+                # Returns at once unless this client's unread replies are over
+                # the transport's high-water mark: then the client is not read
+                # until it catches up, and other connections are unaffected.
+                await writer.drain()
+        except ConnectionError:
             pass
         finally:
             self._connections.discard(connection)
-            try:
-                writer.close()
+            writer.close()
+            with contextlib.suppress(ConnectionError):
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
 
-    async def _send(self, connection: _Connection, payload: Mapping[str, Any]) -> None:
-        data = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-        try:
-            async with connection.lock:
-                connection.writer.write(data)
-                await connection.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            # The client went away mid-response; the query was still served.
-            pass
-
-    async def _dispatch(self, line: bytes, connection: _Connection) -> None:
+    def _dispatch(self, line: bytes, connection: _Connection) -> None:
         try:
             payload = parse_request_line(line)
         except ProtocolError as exc:
             self.stats.protocol_errors += 1
-            await self._send(connection, error_response(request_id_of(line), str(exc)).to_dict())
+            connection.reject(request_id_of(line), str(exc))
             return
-        op = payload.get("op", OP_QUERY)
+        op = payload.pop("op", OP_QUERY)
         if op in WIRE_OPS:
-            self._m_requests.labels(op=op).inc()
+            self._m_requests[op].inc()
         if op == OP_QUERY:
-            await self._dispatch_query(payload, connection)
+            self._dispatch_query(payload, connection)
         elif op == OP_PING:
-            await self._send(connection, {"op": "pong", "version": PROTOCOL_VERSION})
+            connection.send({"op": "pong", "version": PROTOCOL_VERSION})
         elif op == OP_INFO:
-            await self._send(connection, self.info())
+            connection.send(self.info())
         elif op == OP_STATS:
-            await self._send(
-                connection,
-                {
-                    "op": OP_STATS,
-                    "version": PROTOCOL_VERSION,
-                    "stats": self.stats.as_dict(),
-                    "store": self._store.stats.as_dict(),
-                },
-            )
+            connection.send({
+                "op": OP_STATS,
+                "version": PROTOCOL_VERSION,
+                "stats": self.stats.as_dict(),
+                "store": self._store.stats.as_dict(),
+            })
         elif op == OP_METRICS:
             # One scrape covers the process-wide gated registry (daemon,
             # engine, span families) and the store's ungated counters.
-            await self._send(
-                connection,
-                {
-                    "op": OP_METRICS,
-                    "version": PROTOCOL_VERSION,
-                    "content_type": telemetry.CONTENT_TYPE,
-                    "body": render_prometheus(
-                        [telemetry.registry(), self._store.metrics]
-                    ),
-                },
-            )
+            connection.send({
+                "op": OP_METRICS,
+                "version": PROTOCOL_VERSION,
+                "content_type": telemetry.CONTENT_TYPE,
+                "body": render_prometheus([telemetry.registry(), self._store.metrics]),
+            })
         elif op == OP_SHUTDOWN:
             if not self._config.allow_remote_shutdown:
                 self.stats.protocol_errors += 1
-                await self._send(
-                    connection,
-                    error_response(
-                        payload.get("id"), "remote shutdown is disabled on this daemon"
-                    ).to_dict(),
+                connection.reject(
+                    payload.get("id"), "remote shutdown is disabled on this daemon"
                 )
                 return
-            await self._send(
-                connection,
-                {"op": OP_SHUTDOWN, "version": PROTOCOL_VERSION, "status": "draining"},
-            )
-            self._track(asyncio.ensure_future(self.stop()))
+            connection.send({"op": OP_SHUTDOWN, "version": PROTOCOL_VERSION,
+                             "status": "draining"})
+            if self._stop_task is None:
+                self._stop_task = asyncio.ensure_future(self.stop())
         else:
             self.stats.protocol_errors += 1
-            await self._send(
-                connection,
-                error_response(payload.get("id"), f"unknown op {op!r}").to_dict(),
-            )
+            connection.reject(payload.get("id"), f"unknown op {op!r}")
 
-    async def _dispatch_query(self, payload: Dict[str, Any], connection: _Connection) -> None:
-        request_id = payload.get("id")
+    def _dispatch_query(self, payload: Dict[str, Any], connection: _Connection) -> None:
         try:
-            request = QueryRequest.from_dict(
-                {key: value for key, value in payload.items() if key != "op"}
-            )
+            request = QueryRequest.from_dict(payload)
         except ProtocolError as exc:
             if isinstance(exc, VersionMismatchError):
                 self.stats.version_rejections += 1
             else:
                 self.stats.protocol_errors += 1
-            await self._send(connection, error_response(
-                request_id if isinstance(request_id, (int, str))
-                and not isinstance(request_id, bool) else None,
-                str(exc),
-            ).to_dict())
+            connection.reject(payload.get("id"), str(exc))
             return
 
         target = request.target or self._default_target
         if target not in self._targets:
             self.stats.invalid_queries += 1
-            await self._send(connection, error_response(
-                request.id, f"unknown target {target!r}"
-            ).to_dict())
+            connection.reject(request.id, f"unknown target {target!r}")
             return
         domain_size = self._domain_sizes.get(target)
         if domain_size is not None and request.end >= domain_size:
             # Validated per query at admission so one bad range can never
             # poison the coalesced batch it would have joined.
             self.stats.invalid_queries += 1
-            await self._send(connection, error_response(
+            connection.reject(
                 request.id,
                 f"query touches item {request.end} but target {target!r} covers "
                 f"[0, {domain_size})",
-            ).to_dict())
+            )
             return
 
         # Admission control: explicit overloaded responses, never unbounded
         # queues.  Checked before enqueueing so rejections are immediate.
         if self._draining:
-            self._reject_overloaded(request.id, "draining")
-            await self._send(connection, error_response(
-                request.id, "daemon is draining for shutdown", status=STATUS_OVERLOADED
-            ).to_dict())
-            return
-        if connection.inflight >= self._config.max_inflight_per_client:
-            self._reject_overloaded(request.id, "inflight")
-            await self._send(connection, error_response(
-                request.id,
+            self._reject_overloaded(connection, request.id, "draining",
+                                    "daemon is draining for shutdown")
+        elif connection.inflight >= self._config.max_inflight_per_client:
+            self._reject_overloaded(
+                connection, request.id, "inflight",
                 f"client in-flight cap reached ({self._config.max_inflight_per_client})",
-                status=STATUS_OVERLOADED,
-            ).to_dict())
-            return
-        if self._pending_total >= self._config.max_pending:
-            self._reject_overloaded(request.id, "pending")
-            await self._send(connection, error_response(
-                request.id,
+            )
+        elif self._pending_total >= self._config.max_pending:
+            self._reject_overloaded(
+                connection, request.id, "pending",
                 f"server pending queue is full ({self._config.max_pending})",
-                status=STATUS_OVERLOADED,
-            ).to_dict())
-            return
+            )
+        else:
+            connection.inflight += 1
+            self._enqueue(target, request, connection)
 
-        future: "asyncio.Future[QueryResponse]" = asyncio.get_running_loop().create_future()
-        self._enqueue(target, request, future)
-        connection.inflight += 1
-        self._track(asyncio.ensure_future(self._respond(connection, future)))
-
-    def _reject_overloaded(self, request_id: Any, reason: str) -> None:
-        """Account one admission-control rejection (stats, metrics, log).
+    def _reject_overloaded(self, connection: _Connection, request_id: Any, reason: str,
+                           detail: str) -> None:
+        """Answer and account one admission-control rejection.
 
         The overload log is rate-limited per reason — an overloaded daemon
         must not amplify its own overload with log volume; the suppressed
@@ -703,22 +695,14 @@ class ServingDaemon:
                 pending=self._pending_total,
                 suppressed=self._overload_limiter.drain_suppressed(reason),
             )
-
-    async def _respond(self, connection: _Connection,
-                       future: "asyncio.Future[QueryResponse]") -> None:
-        try:
-            response = await future
-        finally:
-            connection.inflight -= 1
-        await self._send(connection, response.to_dict())
+        connection.reject(request_id, detail, status=STATUS_OVERLOADED)
 
     # ------------------------------------------------------------------
     # The coalescer
     # ------------------------------------------------------------------
-    def _enqueue(self, target: str, request: QueryRequest,
-                 future: "asyncio.Future[QueryResponse]") -> None:
+    def _enqueue(self, target: str, request: QueryRequest, connection: _Connection) -> None:
         bucket = self._pending.setdefault(target, [])
-        bucket.append((request, future))
+        bucket.append((request, connection))
         self._pending_total += 1
         self._m_pending.set(self._pending_total)
         if len(bucket) >= self._config.max_batch:
@@ -727,8 +711,9 @@ class ServingDaemon:
                 handle.cancel()
             self._flush(target)
         elif target not in self._flush_handles:
-            # First query of a window arms the micro-batching timer; every
-            # query arriving before it fires rides the same engine call.
+            # The first query of a batch schedules its flush; every query
+            # admitted before it runs rides the same engine call.  With a
+            # zero window that is every line read in this loop turn.
             loop = asyncio.get_running_loop()
             self._flush_handles[target] = loop.call_later(
                 self._config.window_ms / 1000.0, self._flush_window, target
@@ -742,9 +727,10 @@ class ServingDaemon:
         """Answer everything pending for ``target`` with one engine call.
 
         Synchronous by design: the engine call is one dense vectorised
-        evaluation, and resolving futures atomically keeps batch accounting
-        exact.  Any failure is converted into per-query error responses —
-        the daemon never crashes a connection over one bad batch.
+        evaluation, the replies are encoded in one pass, and each connection
+        gets its replies of this batch in one write.  Any failure is
+        converted into per-query error responses — the daemon never crashes
+        a connection over one bad batch.
         """
         pending = self._pending.pop(target, [])
         if not pending:
@@ -759,10 +745,10 @@ class ServingDaemon:
             # telemetry flag) so a slow flush can be logged with full
             # per-stage forensics; detach so the tree roots at this flush.
             with capture_spans(detach=True) as flush_spans:
-                responses, rung = self._answer_pending(target, requests)
+                lines, rung = self._answer_pending(target, requests)
         else:
             flush_spans = []
-            responses, rung = self._answer_pending(target, requests)
+            lines, rung = self._answer_pending(target, requests)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._m_flush_ms.observe(elapsed_ms)
         if trace_flush and elapsed_ms >= float(self._config.slow_query_ms or 0.0):
@@ -776,16 +762,19 @@ class ServingDaemon:
                 queries=[request.to_dict() for request in requests[:8]],
                 spans=[record.to_dict() for record in flush_spans],
             )
-        for (_, future), response in zip(pending, responses):
-            if not future.done():
-                future.set_result(response)
+        replies: Dict[_Connection, List[bytes]] = {}
+        for (_, connection), line in zip(pending, lines):
+            connection.inflight -= 1
+            replies.setdefault(connection, []).append(line)
+        for connection, chunks in replies.items():
+            connection.write(b"".join(chunks))
 
     def _answer_pending(
         self, target: str, requests: List[QueryRequest]
-    ) -> Tuple[List[QueryResponse], str]:
+    ) -> Tuple[List[bytes], str]:
         """Resolve and answer one coalesced batch; never raises.
 
-        Returns the per-query responses plus the degradation-ladder rung the
+        Returns the per-query wire lines plus the degradation-ladder rung the
         engine came from (``"error"`` when the batch failed internally).
         """
         rung = "error"
@@ -795,15 +784,12 @@ class ServingDaemon:
                     engine, rung = self._resolve_engine(target)
                 if engine is None:
                     self.stats.unavailable += len(requests)
-                    responses = [
-                        error_response(
-                            request.id,
-                            f"target {target!r} is not materialised and build_on_miss "
-                            "is disabled",
-                            status=STATUS_UNAVAILABLE,
-                        )
-                        for request in requests
-                    ]
+                    lines = _error_lines(
+                        requests,
+                        f"target {target!r} is not materialised and build_on_miss "
+                        "is disabled",
+                        STATUS_UNAVAILABLE,
+                    )
                 else:
                     with span("daemon.answer", batch=len(requests)):
                         batch = QueryBatch.from_requests(requests)
@@ -813,7 +799,7 @@ class ServingDaemon:
                             if engine.has_error_attribution
                             else None
                         )
-                        responses = responses_for(requests, answers, errors)
+                        lines = encode_responses(requests, answers, errors)
                     self.stats.engine_batches += 1
                     self.stats.queries_answered += len(requests)
                     self._m_batches.inc()
@@ -824,9 +810,16 @@ class ServingDaemon:
                         self.stats.coalesced_queries += len(requests)
             except Exception as exc:  # noqa: BLE001 - the daemon must not die
                 self.stats.internal_errors += len(requests)
-                responses = [
-                    error_response(request.id, f"internal error answering batch: {exc}")
-                    for request in requests
-                ]
+                lines = _error_lines(
+                    requests, f"internal error answering batch: {exc}", STATUS_ERROR
+                )
             trace.set(rung=rung)
-        return responses, rung
+        return lines, rung
+
+
+def _error_lines(requests: List[QueryRequest], detail: str, status: str) -> List[bytes]:
+    """The same rejection as one wire line per request."""
+    return [
+        (error_response(request.id, detail, status=status).to_json() + "\n").encode("utf-8")
+        for request in requests
+    ]

@@ -213,6 +213,13 @@ class TestServeAndLoadgen:
         assert report["overload"]["responsive_after"] is True
         assert report["server_stats"]["queries_answered"] > 0
 
+    def test_serve_defaults_are_the_daemon_config_defaults(self):
+        from repro.cli import _daemon_config
+        from repro.service import DaemonConfig
+
+        args = build_parser().parse_args(["serve", "--input", "m.json", "--store", "s"])
+        assert _daemon_config(args) == DaemonConfig()
+
     def test_loadgen_without_daemon_is_an_error(self, capsys):
         # Port 9 (discard) is never listening on loopback.
         assert main(["loadgen", "--connect", "127.0.0.1:9", "--queries", "10"]) == 2

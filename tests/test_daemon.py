@@ -8,6 +8,7 @@ client would see them, not via private state.
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -172,6 +173,29 @@ class TestCoalescing:
         assert daemon.stats.coalesced_queries > 0
         assert daemon.stats.largest_batch > 1
 
+    def test_one_write_of_queries_is_one_engine_batch(self, daemon_factory):
+        daemon, _ = daemon_factory()  # the default window: flush on the next turn
+
+        async def body(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(
+                (QueryRequest.point(i, i % DOMAIN).to_json() + "\n").encode()
+                for i in range(50)
+            ))
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in range(50)]
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        replies = run(_with_daemon(daemon, body))
+        # Every line read in one loop turn joins the flush of the next turn,
+        # and its replies come back in request order.
+        assert [reply["id"] for reply in replies] == list(range(50))
+        assert {reply["status"] for reply in replies} == {"ok"}
+        assert daemon.stats.engine_batches == 1
+        assert daemon.stats.largest_batch == 50
+
     def test_full_window_flushes_early_at_max_batch(self, daemon_factory):
         daemon, _ = daemon_factory(
             config=DaemonConfig(window_ms=10_000.0, max_batch=4)
@@ -270,8 +294,72 @@ class TestAdmissionControl:
         assert statuses.count("overloaded") == 7
         assert daemon.stats.overloaded == 7
 
+    def test_a_client_that_never_reads_stalls_only_itself(self, daemon_factory):
+        # Caps high enough to admit every query: the back-pressure is the
+        # client's own unread replies, not admission control.
+        daemon, _ = daemon_factory(
+            config=DaemonConfig(max_pending=100_000, max_inflight_per_client=100_000)
+        )
+
+        async def body(host, port):
+            loop = asyncio.get_running_loop()
+            stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.setblocking(False)
+            await loop.sock_connect(stalled, (host, port))
+            line = (QueryRequest.point(7, 3).to_json() + "\n").encode()
+            # Far more replies than the kernel buffers between the two hold.
+            sender = asyncio.ensure_future(loop.sock_sendall(stalled, line * 200_000))
+            try:
+                # The unread replies back up until the daemon stops reading
+                # this client; the rest of its requests wait in socket buffers.
+                read = -1
+                while read != daemon.stats.requests:
+                    read = daemon.stats.requests
+                    await asyncio.sleep(0.2)
+                assert read < 200_000
+                client = await LoadgenClient.connect(host, port)
+                try:
+                    pong = await asyncio.wait_for(client.round_trip({"op": "ping"}), 1.0)
+                finally:
+                    await client.close()
+            finally:
+                sender.cancel()
+                stalled.close()
+            return pong
+
+        pong = run(_with_daemon(daemon, body))
+        assert pong == {"op": "pong", "version": PROTOCOL_VERSION}
+        assert daemon.stats.internal_errors == 0
+
 
 class TestProtocolRejections:
+    @pytest.mark.parametrize("size", [100_000, 1_000_000])
+    def test_oversized_line_gets_one_error_then_a_clean_close(self, daemon_factory, size):
+        daemon, _ = daemon_factory()
+
+        async def body(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "ping", "pad": "' + b"x" * size + b'"}\n')
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            rest = await reader.read()  # EOF, not a reset
+            writer.close()
+            await writer.wait_closed()
+            client = await LoadgenClient.connect(host, port)
+            try:
+                pong = await client.round_trip({"op": "ping"})
+            finally:
+                await client.close()
+            return reply, rest, pong
+
+        reply, rest, pong = run(_with_daemon(daemon, body))
+        assert reply["status"] == "error" and reply["id"] == "?"
+        assert "exceeds" in reply["detail"]
+        assert rest == b""
+        assert pong == {"op": "pong", "version": PROTOCOL_VERSION}
+        assert daemon.stats.protocol_errors == 1
+
     def test_malformed_and_mismatched_lines_get_typed_errors(self, daemon_factory):
         daemon, _ = daemon_factory()
 
@@ -284,6 +372,7 @@ class TestProtocolRejections:
                 b'{"id": "k", "kind": "median", "start": 0, "end": 0, "version": 1}\n',
                 b'{"id": "f", "kind": "point", "start": 0, "end": 0, "version": 1, "extra": 1}\n',
                 b'{"op": "teleport", "id": "o"}\n',
+                b'{"op": "teleport", "id": [1]}\n',
             ]
             for line in lines:
                 writer.write(line)
@@ -298,13 +387,14 @@ class TestProtocolRejections:
             return replies
 
         replies = run(_with_daemon(daemon, body))
-        broken, mismatch, kind, extra, op, fine = replies
+        broken, mismatch, kind, extra, op, bad_id, fine = replies
         assert broken["status"] == "error" and broken["id"] == "?"
         assert mismatch["status"] == "error" and "version" in mismatch["detail"]
         assert mismatch["id"] == "v"
         assert kind["status"] == "error" and "kind" in kind["detail"]
         assert extra["status"] == "error" and "unknown request field" in extra["detail"]
         assert op["status"] == "error" and "unknown op" in op["detail"]
+        assert bad_id["status"] == "error" and bad_id["id"] == "?"
         assert fine["status"] == "ok"
         assert daemon.stats.version_rejections == 1
         assert daemon.stats.protocol_errors >= 3
@@ -473,7 +563,7 @@ class TestLoadgenHarness:
                 seed=3,
                 burst=120,
                 burst_concurrency=4,
-                burst_rate=4000.0,
+                burst_rate=40_000.0,
                 verify_engine=engine,
                 verify_queries=40,
                 shutdown=True,

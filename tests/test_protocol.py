@@ -14,6 +14,7 @@ from repro.service import (
     QueryBatch,
     QueryRequest,
     QueryResponse,
+    encode_responses,
     error_response,
     latency_summary,
     responses_for,
@@ -227,3 +228,35 @@ def test_request_json_round_trip_property(request_id, kind, start, length, targe
     assert QueryRequest.from_json(line) == request
     # The wire form is plain JSON any client can produce independently.
     assert QueryRequest.from_dict(json.loads(line)) == request
+
+
+#: Ids as clients send them: any integer, or text with the characters JSON
+#: must escape (quotes, backslashes, control characters) and non-ASCII ones.
+_WIRE_IDS = st.one_of(
+    st.integers(),
+    st.text(alphabet=st.sampled_from('q7"\\/\n\t\x00 ,:é€😀'), max_size=10),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_WIRE_IDS, st.floats(), st.floats()), max_size=24),
+    with_errors=st.booleans(),
+)
+def test_encode_responses_is_byte_identical_to_to_json(rows, with_errors):
+    """The daemon's batch encoder writes exactly the lines ``to_json`` writes,
+    non-finite floats (``NaN``, ``Infinity``) and signed zeros included."""
+    requests = [QueryRequest.point(request_id, 0) for request_id, _, _ in rows]
+    answers = np.array([answer for _, answer, _ in rows], dtype=float)
+    errors = np.array([error for _, _, error in rows], dtype=float) if with_errors else None
+    expected = "".join(
+        QueryResponse(
+            id=request_id, answer=answer, expected_error=error if with_errors else None
+        ).to_json() + "\n"
+        for request_id, answer, error in rows
+    ).encode()
+    lines = encode_responses(requests, answers, errors)
+    assert len(lines) == len(rows)
+    assert all(line.endswith(b"\n") and line.count(b"\n") == 1 for line in lines)
+    assert b"".join(lines) == expected
