@@ -1,8 +1,9 @@
 """Compiled (JIT / C) implementations of the package's hot loops.
 
-The histogram DP kernels and the wavelet leaf-error kernel are exact
-algorithms whose cost is dominated by two inner loops; this subpackage
-provides compiled implementations of both behind a single resolver:
+The histogram DP kernels, the wavelet leaf-error kernel and the SAE/SARE
+pooled-median span costs are exact algorithms whose cost is dominated by
+scalar inner loops; this subpackage provides compiled implementations of
+all of them behind a single resolver:
 
 * :mod:`~repro._compiled.kernels_py` — the pure-Python algorithmic source
   (nopython-subset; what numba compiles and what the tests verify);
@@ -14,7 +15,8 @@ provides compiled implementations of both behind a single resolver:
   ``REPRO_COMPILED_BACKEND`` override.
 
 Nothing here is required: when no backend is available the registry's numpy
-kernels solve everything, at the old speed.
+kernels and the oracles' numpy batch paths solve everything, at the old
+speed.
 """
 
 from .backend import CompiledBackend, get_backend, numba_version, reset_backend

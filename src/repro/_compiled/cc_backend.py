@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors", "version"]
+__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors", "absolute_span_costs", "version"]
 
 _SOURCE = Path(__file__).resolve().parent / "ckernels.c"
 
@@ -108,6 +108,11 @@ _lib.repro_leaf_errors.argtypes = [
     _C_DOUBLE_P, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32,
     ctypes.c_double, _C_DOUBLE_P, _C_DOUBLE_P,
 ]
+_lib.repro_absolute_span_costs.restype = None
+_lib.repro_absolute_span_costs.argtypes = [
+    _C_DOUBLE_P, _C_DOUBLE_P, _C_DOUBLE_P, _C_DOUBLE_P, _C_DOUBLE_P, ctypes.c_int64,
+    _C_INT64_P, _C_INT64_P, ctypes.c_int64, _C_DOUBLE_P,
+]
 
 version = "cc"
 
@@ -143,4 +148,12 @@ def leaf_errors(probs, values, rows, incoming, weights, squared, relative, sanit
         _dptr(probs), values.shape[0], _dptr(values), _iptr(rows), _dptr(incoming),
         _dptr(weights), rows.shape[0], int(bool(squared)), int(bool(relative)),
         float(sanity), _dptr(scratch), _dptr(out),
+    )
+
+
+def absolute_span_costs(below_w, below_wv, prefix_w, prefix_wv, values, starts, ends, out):
+    """See :func:`repro._compiled.kernels_py.absolute_span_costs`."""
+    _lib.repro_absolute_span_costs(
+        _dptr(below_w), _dptr(below_wv), _dptr(prefix_w), _dptr(prefix_wv), _dptr(values),
+        values.shape[0], _iptr(starts), _iptr(ends), starts.shape[0], _dptr(out),
     )

@@ -6,7 +6,9 @@
  * the build passes -ffp-contract=off) so that every backend returns
  * bit-identical results to the numpy reference kernels.
  *
- * The span cost is the quadratic prefix form
+ * Four entry points: the two histogram DPs, the wavelet leaf errors and
+ * the SAE/SARE pooled-median span costs.  The DPs use the quadratic
+ * prefix form of the span cost
  *     cost(s, e) = clip(X - Y*Y / Z, 0),  X/Y/Z = A/B/C[e+1] - A/B/C[s],
  * with cost 0 wherever Z <= 0 (zero-weight spans are free).
  */
@@ -158,5 +160,56 @@ void repro_leaf_errors(const double *probs, int64_t v, const double *values,
             }
         }
         out[p] = weights[p] * scratch[0];
+    }
+}
+
+/* Cost of representative values[idx] for one span of the weighted
+ * absolute-error oracle; lo/hi are the span's bounding prefix rows. */
+static double absolute_cost_at(const double *lo_w, const double *hi_w,
+                               const double *lo_wv, const double *hi_wv,
+                               const double *values, int64_t idx,
+                               double total_w, double total_wv) {
+    double b_hat = values[idx];
+    double bw = hi_w[idx] - lo_w[idx];
+    double bwv = hi_wv[idx] - lo_wv[idx];
+    return b_hat * bw - bwv + (total_wv - bwv) - b_hat * (total_w - bw);
+}
+
+/* Batched SAE/SARE span costs: first-crossing weighted median by a linear
+ * scan, then the np.minimum of the costs at the median and its two
+ * neighbours, clipped like np.maximum(cost, 0.0). */
+void repro_absolute_span_costs(const double *below_w, const double *below_wv,
+                               const double *prefix_w, const double *prefix_wv,
+                               const double *values, int64_t k,
+                               const int64_t *starts, const int64_t *ends,
+                               int64_t spans, double *out) {
+    for (int64_t p = 0; p < spans; p++) {
+        int64_t s = starts[p];
+        int64_t e = ends[p] + 1;
+        double total_w = prefix_w[e] - prefix_w[s];
+        double total_wv = prefix_wv[e] - prefix_wv[s];
+        double half = total_w / 2.0;
+        const double *lo_w = below_w + s * k;
+        const double *hi_w = below_w + e * k;
+        const double *lo_wv = below_wv + s * k;
+        const double *hi_wv = below_wv + e * k;
+        int64_t median = k - 1;
+        for (int64_t j = 0; j < k; j++) {
+            if (hi_w[j] - lo_w[j] >= half) {
+                median = j;
+                break;
+            }
+        }
+        int64_t left = (median - 1 > 0) ? median - 1 : 0;
+        int64_t right = (median + 1 < k - 1) ? median + 1 : k - 1;
+        int64_t candidates[3] = {median, left, right};
+        double best = 0.0;
+        for (int c = 0; c < 3; c++) {
+            double cost = absolute_cost_at(lo_w, hi_w, lo_wv, hi_wv, values,
+                                           candidates[c], total_w, total_wv);
+            if (c == 0 || !(best < cost || best != best)) best = cost;
+        }
+        if (best <= 0.0) best = 0.0;
+        out[p] = best;
     }
 }

@@ -17,7 +17,7 @@ Interpreted execution is orders of magnitude slower than the numpy kernels,
 so this module is never selected as a production backend — the registry
 falls back to the numpy kernels instead.
 
-All three DP functions operate on the *quadratic prefix form* of the bucket
+Both DP functions operate on the *quadratic prefix form* of the bucket
 cost (see :meth:`repro.histograms.cost_base.BucketCostFunction.to_compiled_arrays`):
 
     cost(s, e) = clip(X - Y^2 / Z, 0),  X/Y/Z = A/B/C[e+1] - A/B/C[s],
@@ -26,13 +26,18 @@ with cost 0 wherever ``Z <= 0``.  The arithmetic — one multiply, one divide,
 one subtract, in that order — reproduces the numpy oracles' span costs
 bit-for-bit, which is what lets the compiled kernels inherit the registry's
 bit-identical-optimum test matrix unchanged.
+
+The other two functions are batch evaluators called from numpy code:
+``leaf_errors`` scores wavelet leaves, and ``absolute_span_costs`` is the
+SAE/SARE pooled-median span cost of
+:meth:`repro.histograms.absolute.WeightedAbsoluteCost.costs_for_spans`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors"]
+__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors", "absolute_span_costs"]
 
 
 def dp_divide_conquer(pa, pb, pc, errors, parents):
@@ -209,3 +214,52 @@ def leaf_errors(probs, values, rows, incoming, weights, squared, relative, sanit
             else:
                 m = half
         out[p] = weights[p] * scratch[0]
+
+
+def absolute_span_costs(below_w, below_wv, prefix_w, prefix_wv, values, starts, ends, out):
+    """Pooled weighted-median costs of a batch of ``[starts[p], ends[p]]`` spans.
+
+    The arrays are the prefix state of
+    :class:`repro.histograms.absolute.WeightedAbsoluteCost`: ``(n+1, k)``
+    item-prefixed cumulative weight and weighted-value profiles over the
+    value grid ``values``, and their length-``n+1`` row totals.  Per span
+    this replays the numpy batch path operation for operation: the median
+    is the *first* grid column whose pooled profile reaches half the total
+    weight (``k - 1`` if none does), found by a linear scan that stops
+    there.  A bisection would not be exact: the pooled profile is the
+    difference of two rounded prefix rows, so it can dip by an ulp.  The
+    cost is evaluated at the median and its two neighbours (in that
+    order), reduced like ``np.minimum`` (a NaN propagates; a tie takes the
+    later candidate, which shows only in the sign of a zero), then clipped
+    like ``np.maximum(cost, 0.0)``.
+    """
+    k = values.shape[0]
+    for p in range(starts.shape[0]):
+        s = starts[p]
+        e = ends[p] + 1
+        total_w = prefix_w[e] - prefix_w[s]
+        total_wv = prefix_wv[e] - prefix_wv[s]
+        half = total_w / 2.0
+        median = k - 1
+        for j in range(k):
+            if below_w[e, j] - below_w[s, j] >= half:
+                median = j
+                break
+        left = max(median - 1, 0)
+        right = min(median + 1, k - 1)
+        best = 0.0
+        for c in range(3):
+            idx = median
+            if c == 1:
+                idx = left
+            elif c == 2:
+                idx = right
+            b_hat = values[idx]
+            bw = below_w[e, idx] - below_w[s, idx]
+            bwv = below_wv[e, idx] - below_wv[s, idx]
+            cost = b_hat * bw - bwv + (total_wv - bwv) - b_hat * (total_w - bw)
+            if c == 0 or not (best < cost or best != best):
+                best = cost
+        if best <= 0.0:
+            best = 0.0
+        out[p] = best

@@ -19,9 +19,17 @@ matter and the tuple-pdf model reduces to its induced value pdf
 the weight function; :class:`~repro.histograms.sae.SaeCost` and
 :class:`~repro.histograms.sare.SareCost` instantiate it.  The precomputation
 builds two-dimensional prefix arrays over (item, value) of the weights and
-the value-weighted weights, after which any bucket's optimal representative
-and cost are found with ``O(log |V|)`` work (a search over the pooled value
-cdf) — matching the paper's ``O(n(|V| + Bn + n log |V|))`` bounds.
+the value-weighted weights.  A single bucket's optimal representative and
+cost (:meth:`WeightedAbsoluteCost.cost_and_representative`) then take
+``O(log |V|)`` work, a binary search over the pooled value cdf, matching the
+paper's ``O(n(|V| + Bn + n log |V|))`` bounds.
+
+The batch path the DP kernels call, :meth:`WeightedAbsoluteCost.costs_for_spans`,
+instead finds each span's median as the *first* grid column whose pooled
+profile reaches half the weight: ``O(|V|)`` per span.  It runs in the
+compiled ``absolute_span_costs`` kernel (:mod:`repro._compiled`) as a scan
+that stops at the median, and in numpy over all ``|V|`` columns when no
+backend resolves; both return bit-identical costs.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .._compiled import get_backend
 from ..models.frequency import FrequencyDistributions
 from .cost_base import BucketCostFunction
 
@@ -77,7 +86,9 @@ class WeightedAbsoluteCost(BucketCostFunction):
         self._prefix_total_weighted_value = np.concatenate(
             [[0.0], np.cumsum(weighted_values.sum(axis=1))]
         )
-        self._values = values
+        # Contiguous float64, like the prefix arrays, so the compiled span
+        # costs can read every buffer by pointer.
+        self._values = np.ascontiguousarray(values, dtype=np.float64)
         self._n = n
         self._k = k
         # Each batched span evaluation materialises one row of k value
@@ -158,6 +169,27 @@ class WeightedAbsoluteCost(BucketCostFunction):
     # Vectorised evaluation for the DP kernels
     # ------------------------------------------------------------------
     def costs_for_spans(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        self._check_spans(starts, ends)
+        backend = get_backend()
+        if backend is None:
+            return self._numpy_span_costs(starts, ends)
+        out = np.empty(starts.shape, dtype=np.float64)
+        backend.absolute_span_costs(
+            self._below_weight,
+            self._below_weighted_value,
+            self._prefix_total_weight,
+            self._prefix_total_weighted_value,
+            self._values,
+            np.ascontiguousarray(starts),
+            np.ascontiguousarray(ends),
+            out,
+        )
+        return out
+
+    def _numpy_span_costs(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The numpy batch path: the no-backend fallback and the test reference."""
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         below_w = self._below_weight[ends + 1] - self._below_weight[starts]

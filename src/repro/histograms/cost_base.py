@@ -116,7 +116,9 @@ class BucketCostFunction(abc.ABC):
         order on the same doubles).  SSE (fixed variant) and SSRE qualify;
         the pooled-median and maximum-error oracles, and the paper-variant
         SSE with its cross-item corrections, return ``None`` and keep using
-        the batch-oracle kernels.
+        the batch-oracle kernels.  (The pooled-median SAE/SARE oracle still
+        runs compiled code: its :meth:`costs_for_spans` calls the backend's
+        ``absolute_span_costs``, which the numpy DP kernels then consume.)
         """
         return None
 
@@ -135,12 +137,25 @@ class BucketCostFunction(abc.ABC):
         if spans.size == 0:
             raise SynopsisError("cannot score an empty bucketing")
         starts, ends = spans[:, 0], spans[:, 1]
+        self._check_spans(starts, ends)
+        costs = self.costs_for_spans(starts, ends)
+        return float(costs.sum()) if self.aggregation == "sum" else float(costs.max())
+
+    def _check_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Vectorised :meth:`_check_span` over a batch of spans.
+
+        Also rejects ``starts``/``ends`` that are not equal-length 1-D
+        arrays, so a batch evaluator may index both by the same position.
+        """
+        if starts.ndim != 1 or starts.shape != ends.shape:
+            raise SynopsisError(
+                f"span starts {starts.shape} and ends {ends.shape} must be "
+                "equal-length one-dimensional arrays"
+            )
         invalid = (starts < 0) | (ends >= self.domain_size) | (starts > ends)
         if np.any(invalid):
             bad = int(np.argmax(invalid))
             self._check_span(int(starts[bad]), int(ends[bad]))
-        costs = self.costs_for_spans(starts, ends)
-        return float(costs.sum()) if self.aggregation == "sum" else float(costs.max())
 
     def _check_span(self, start: int, end: int) -> None:
         if not (0 <= start <= end < self.domain_size):

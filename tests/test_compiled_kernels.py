@@ -3,9 +3,9 @@
 The compiled kernels' contract has three legs, each pinned here:
 
 * **bit-identity** — whichever backend resolves (numba, the C library, or
-  the interpreted kernel source), the DP tables and leaf-error batches it
-  produces are ``array_equal`` to the numpy reference paths, never merely
-  close;
+  the interpreted kernel source), the DP tables, leaf-error batches and
+  SAE/SARE span costs it produces are ``array_equal`` to the numpy
+  reference paths, never merely close;
 * **truthful availability** — with no backend, ``available_kernels()``
   omits the compiled kernels, ``resolve_kernel`` falls back loudly
   (:class:`KernelFallbackWarning`), and nothing anywhere hard-imports
@@ -26,6 +26,7 @@ from repro._compiled import backend as backend_mod
 from repro._compiled import get_backend, numba_version, reset_backend
 from repro._compiled import kernels_py
 from repro.core.metrics import MetricSpec
+from repro.datasets import zipf_value_pdf
 from repro.exceptions import SynopsisError
 from repro.histograms import (
     CompiledDivideConquerKernel,
@@ -89,6 +90,7 @@ class TestBackendResolution:
         assert backend is not None
         assert backend.name == "python"
         assert backend.dp_divide_conquer is kernels_py.dp_divide_conquer
+        assert backend.absolute_span_costs is kernels_py.absolute_span_costs
 
     def test_missing_forced_backend_degrades_to_none(self, clean_backend):
         # Simulate "numba is not installed" regardless of this machine: the
@@ -369,3 +371,175 @@ class TestCompiledLeafErrors:
             probabilities, values, spec, leaf_indices, incoming, leaf_weights
         )
         assert np.array_equal(with_backend, without_backend)
+
+
+# ----------------------------------------------------------------------
+# SAE/SARE pooled-median span costs
+# ----------------------------------------------------------------------
+def absolute_oracle(case):
+    """A small SAE/SARE oracle for one named edge case of the span-cost kernel."""
+    metric = "sare" if case.startswith("sare") else "sae"
+    if case == "n1":
+        return make_cost_function(zipf_value_pdf(1, seed=960), "sae")
+    if case == "one-value-grid":
+        # The grid always holds 0, so a one-value grid is "every item is 0".
+        grid = ValueGrid([0.0])
+        return make_cost_function(FrequencyDistributions(grid, np.ones((7, 1))), "sae")
+    model = zipf_value_pdf(13, skew=1.1, uncertainty=0.4, seed=961)
+    if case.endswith("uniform"):
+        return make_cost_function(model, metric, sanity=0.5)
+    weights = np.random.default_rng(962).uniform(0.1, 2.0, 13)
+    if case.endswith("zero-weights"):
+        weights[[1, 6, 12]] = 0.0
+    else:  # zero-weight buckets: every span inside [3, 7] weighs nothing
+        weights[3:8] = 0.0
+    return make_cost_function(model, metric, sanity=0.5, workload=weights)
+
+
+ABSOLUTE_CASES = [
+    "sae-uniform", "sare-uniform", "sae-zero-weights", "sare-zero-weights",
+    "sae-zero-buckets", "sare-zero-buckets", "n1", "one-value-grid",
+]
+
+
+def span_batches(n):
+    """The full triangle of spans, then a ragged, unsorted batch with repeats."""
+    ends, starts = np.tril_indices(n)
+    yield starts, ends
+    rng = np.random.default_rng(963)
+    starts = rng.integers(0, n, size=3 * n)
+    ends = np.minimum(starts + rng.integers(0, n, size=starts.size), n - 1)
+    yield starts.astype(np.int64), ends.astype(np.int64)
+
+
+def dipping_profile():
+    """Kernel inputs of one span whose pooled profile is non-monotone by an ulp.
+
+    The profile ``[1, 1 - ulp, 2]`` reaches half the weight (1.0) at column
+    0, dips below it and crosses again at column 2.  numpy's ``argmax``
+    takes column 0, so the cost is the minimum at columns 0 and 1; a
+    bisection would land on column 2 and return the (smaller) cost there.
+    """
+    values = np.array([0.0, 1.0, 2.0])
+    below_w = np.array([[0.0, 0.0, 0.0], [1.0, np.nextafter(1.0, 0.0), 2.0]])
+    below_wv = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    prefix_w = np.array([0.0, 2.0])
+    prefix_wv = np.array([0.0, 3.0])
+    bw, bwv = below_w[1], below_wv[1]
+    costs = values * bw - bwv + (prefix_wv[1] - bwv) - values * (prefix_w[1] - bw)
+    assert costs[2] < min(costs[0], costs[1])
+    arrays = (below_w, below_wv, prefix_w, prefix_wv, values)
+    return arrays, min(costs[0], costs[1])
+
+
+def assert_dipping_profile_scanned(fn):
+    arrays, expected = dipping_profile()
+    out = np.empty(1)
+    fn(*arrays, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), out)
+    assert out[0] == expected
+
+
+def assert_same_costs(got, reference):
+    assert np.array_equal(got, reference)
+    assert np.array_equal(np.signbit(got), np.signbit(reference))
+
+
+def kernel_span_costs(fn, cost_fn, starts, ends):
+    out = np.empty(starts.shape, dtype=np.float64)
+    fn(
+        cost_fn._below_weight, cost_fn._below_weighted_value, cost_fn._prefix_total_weight,
+        cost_fn._prefix_total_weighted_value, cost_fn._values, starts, ends, out,
+    )
+    return out
+
+
+class TestAbsoluteSpanCostsInterpreted:
+    """The kernel source against the numpy batch path, on any backend."""
+
+    @pytest.mark.parametrize("case", ABSOLUTE_CASES)
+    def test_interpreted_source_matches_numpy(self, case):
+        cost_fn = absolute_oracle(case)
+        for starts, ends in span_batches(cost_fn.domain_size):
+            assert_same_costs(
+                kernel_span_costs(kernels_py.absolute_span_costs, cost_fn, starts, ends),
+                cost_fn._numpy_span_costs(starts, ends),
+            )
+
+    def test_interpreted_source_takes_the_first_crossing(self):
+        assert_dipping_profile_scanned(kernels_py.absolute_span_costs)
+
+    def test_costs_for_spans_dispatches_to_the_backend(self, clean_backend):
+        calls = []
+        source = kernels_py.absolute_span_costs
+
+        def spy(*args):
+            calls.append(args[5].size)
+            source(*args)
+
+        clean_backend.setattr(kernels_py, "absolute_span_costs", spy)
+        clean_backend.setenv(backend_mod.BACKEND_ENV, "python")
+        cost_fn = absolute_oracle("sare-zero-weights")
+        starts, ends = next(span_batches(cost_fn.domain_size))
+        assert_same_costs(
+            cost_fn.costs_for_spans(starts, ends), cost_fn._numpy_span_costs(starts, ends)
+        )
+        assert calls == [starts.size]
+
+
+@needs_backend
+class TestCompiledAbsoluteSpanCosts:
+    @pytest.mark.parametrize("case", ABSOLUTE_CASES)
+    def test_backend_matches_numpy(self, case):
+        cost_fn = absolute_oracle(case)
+        for starts, ends in span_batches(cost_fn.domain_size):
+            assert_same_costs(
+                kernel_span_costs(get_backend().absolute_span_costs, cost_fn, starts, ends),
+                cost_fn._numpy_span_costs(starts, ends),
+            )
+            assert_same_costs(
+                cost_fn.costs_for_spans(starts, ends), cost_fn._numpy_span_costs(starts, ends)
+            )
+
+    def test_backend_takes_the_first_crossing(self):
+        assert_dipping_profile_scanned(get_backend().absolute_span_costs)
+
+    def test_backend_matches_numpy_at_build_scale(self):
+        # A grid of hundreds of values, where pooled profiles that dip by an
+        # ulp are common: the scan must still find numpy's first crossing.
+        for metric in ("sae", "sare"):
+            cost_fn = make_cost_function(
+                zipf_value_pdf(96, skew=1.1, uncertainty=0.4, seed=964), metric, sanity=1.0
+            )
+            assert cost_fn.batch_cost_columns > 100
+            for starts, ends in span_batches(cost_fn.domain_size):
+                assert_same_costs(
+                    cost_fn.costs_for_spans(starts, ends),
+                    cost_fn._numpy_span_costs(starts, ends),
+                )
+
+    @pytest.mark.parametrize("metric", ["sae", "sare"])
+    @pytest.mark.parametrize("kernel", ["exact", "vectorized"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "workload"])
+    def test_builds_match_backendless_builds(self, clean_backend, metric, kernel, weighted):
+        model = zipf_value_pdf(20, skew=1.1, uncertainty=0.4, seed=965)
+        workload = None
+        if weighted:
+            workload = np.random.default_rng(965).uniform(0.1, 2.0, 20)
+            workload[[2, 3, 11]] = 0.0
+        budget = 8
+
+        def build():
+            # Everything, lazy back-pointers included, under the current backend.
+            cost_fn = make_cost_function(model, metric, sanity=1.0, workload=workload)
+            result = get_kernel(kernel).solve(cost_fn, budget)
+            return result._errors, [result.histogram(b) for b in range(1, budget + 1)]
+
+        errors, histograms = build()
+        clean_backend.setenv(backend_mod.BACKEND_ENV, "none")
+        reset_backend()
+        assert get_backend() is None
+        reference_errors, references = build()
+        assert np.array_equal(errors, reference_errors)
+        for histogram, reference in zip(histograms, references):
+            assert histogram.boundaries == reference.boundaries
+            assert np.array_equal(histogram.representatives, reference.representatives)

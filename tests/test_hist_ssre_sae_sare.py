@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import ValuePdfModel
+from repro._compiled import reset_backend
+from repro._compiled.backend import BACKEND_ENV
 from repro.core.metrics import MetricSpec
+from repro.datasets import zipf_value_pdf
 from repro.histograms.sae import SaeCost
 from repro.histograms.sare import SareCost
 from repro.histograms.ssre import SsreCost
@@ -180,3 +183,43 @@ class TestSareCost:
         assert total == pytest.approx(cost_fn.cost(0, 2) + cost_fn.cost(3, 5))
         with pytest.raises(SynopsisError):
             cost_fn.total_cost([])
+
+
+@pytest.fixture(params=["resolved", "numpy"])
+def span_path(request, monkeypatch):
+    """Run on the resolved compiled span costs (if any), then on the numpy path."""
+    if request.param == "numpy":
+        monkeypatch.setenv(BACKEND_ENV, "none")
+    reset_backend()
+    yield request.param
+    reset_backend()
+
+
+class TestSpanValidation:
+    """Invalid spans raise instead of wrapping around or reading past the arrays."""
+
+    @pytest.mark.parametrize("oracle", [SaeCost, SareCost])
+    @pytest.mark.parametrize(
+        "starts, ends",
+        [([-1, 0], [3, 7]), ([0, 2], [3, 8]), ([0, 4], [3, 3])],
+        ids=["negative-start", "end-past-domain", "start-after-end"],
+    )
+    def test_invalid_span_raises(self, span_path, oracle, starts, ends):
+        cost_fn = oracle.from_model(zipf_value_pdf(8, seed=1))
+        with pytest.raises(SynopsisError, match="invalid bucket span"):
+            cost_fn.costs_for_spans(np.array(starts), np.array(ends))
+
+    def test_mismatched_span_arrays_raise(self, span_path):
+        cost_fn = SaeCost.from_model(zipf_value_pdf(8, seed=1))
+        with pytest.raises(SynopsisError, match="equal-length"):
+            cost_fn.costs_for_spans(np.array([0, 1, 2]), np.array([7]))
+
+    def test_valid_spans_unchanged(self, span_path):
+        cost_fn = SaeCost.from_model(zipf_value_pdf(8, seed=1))
+        costs = cost_fn.costs_for_spans(np.array([0, 0, 7]), np.array([3, 7, 7]))
+        assert costs == pytest.approx([cost_fn.cost(0, 3), cost_fn.cost(0, 7), cost_fn.cost(7, 7)])
+
+    def test_total_cost_rejects_invalid_spans(self):
+        cost_fn = SareCost.from_model(zipf_value_pdf(8, seed=1))
+        with pytest.raises(SynopsisError, match=r"invalid bucket span \[-1, 3\]"):
+            cost_fn.total_cost([(-1, 3), (4, 7)])
