@@ -20,10 +20,11 @@ Two sections:
   — the compiled kernel must be bit-identical, not merely close.  Beyond
   the cap only the compiled kernel runs (the numpy reference would take
   minutes, which is the point of the backend).
-* **wavelet leaf kernel** — the batched expected-leaf-error evaluation that
-  dominates the restricted wavelet DPs, compiled vs numpy, over all four
-  point-error shapes (absolute/squared x plain/relative), again asserted
-  bit-identical before any time is recorded.
+* **wavelet restricted DP** — one SAE restricted wavelet DP solve (the
+  paper's Theorem 8 construction) at ``B = 16`` and ``n = 512`` (``n = 128``
+  in ``--smoke``), recording its wall clock and optimal error.  Its leaf
+  errors come from the numpy prefix-sum sweep of
+  :mod:`repro.wavelets.leaf_errors`; no compiled kernel is involved.
 
 The dataset is built directly as a ``FrequencyDistributions`` matrix over a
 small quantised value grid (each item's pdf spread over three adjacent grid
@@ -45,11 +46,11 @@ import numpy as np
 from _env import environment
 from repro._compiled import get_backend
 from repro._version import __version__
-from repro.core.metrics import MetricSpec
+from repro.datasets import zipf_value_pdf
 from repro.histograms import SseCost
 from repro.histograms.kernels import get_kernel
 from repro.models import FrequencyDistributions, ValueGrid
-from repro.wavelets.leaf_errors import _compiled_batch, _numpy_batch
+from repro.wavelets.nonsse import RestrictedWaveletDP
 
 #: The acceptance target this benchmark tracks: the compiled kernel must
 #: finish the headline exact build inside this wall-clock budget.
@@ -60,6 +61,10 @@ TARGET_SECONDS = 10.0
 FULL_SIZES = (16_384, 65_536, 262_144, HEADLINE_N)
 SMOKE_SIZES = (1_024, 4_096)
 GRID_SIZE = 64
+
+WAVELET_N = 512
+SMOKE_WAVELET_N = 128
+WAVELET_BUDGET = 16
 
 
 def make_dataset(n: int, seed: int = 11) -> FrequencyDistributions:
@@ -128,47 +133,27 @@ def histogram_scaling(sizes, buckets, verify_cap):
     return curve
 
 
-def wavelet_leaf_kernel(seed=23):
-    """Compiled vs numpy batched leaf-error kernel, all four metric shapes."""
-    rng = np.random.default_rng(seed)
-    n, grid, per_leaf = 4_096, 64, 8
-    values = np.sort(rng.uniform(0.0, 50.0, grid))
-    probabilities = rng.dirichlet(np.ones(grid), size=n)
-    leaf_indices = np.repeat(np.arange(n, dtype=np.int64), per_leaf)
-    incoming = rng.uniform(0.0, 50.0, leaf_indices.size)
-    weights = rng.uniform(0.5, 2.0, leaf_indices.size)
-
-    backend = get_backend()
-    results = []
-    for metric in ("sae", "sse", "sare", "ssre"):
-        spec = MetricSpec.of(metric, sanity=1.0)
-        start = time.perf_counter()
-        baseline = _numpy_batch(probabilities, values, spec, leaf_indices, incoming, weights)
-        numpy_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        compiled = _compiled_batch(
-            backend, probabilities, values, spec, leaf_indices, incoming, weights
-        )
-        compiled_seconds = time.perf_counter() - start
-        if not np.array_equal(baseline, compiled):
-            raise AssertionError(f"compiled leaf errors diverge from numpy for {metric!r}")
-        speedup = round(numpy_seconds / compiled_seconds, 2)
-        print(
-            f"[leaf]  {metric:<5} pairs={leaf_indices.size:,}  "
-            f"numpy {numpy_seconds:6.3f}s  compiled {compiled_seconds:6.3f}s  {speedup:5.1f}x"
-        )
-        results.append(
-            {
-                "metric": metric,
-                "pairs": int(leaf_indices.size),
-                "grid_size": grid,
-                "numpy_seconds": round(numpy_seconds, 4),
-                "compiled_seconds": round(compiled_seconds, 4),
-                "speedup_vs_numpy": speedup,
-                "bit_identical": True,
-            }
-        )
-    return results
+def wavelet_restricted_dp(n, budget=WAVELET_BUDGET, seed=42):
+    """One timed SAE restricted wavelet DP solve on a zipf value-pdf."""
+    model = zipf_value_pdf(n, skew=1.1, uncertainty=0.4, seed=seed)
+    distributions = model.to_frequency_distributions()
+    start = time.perf_counter()
+    error, synopsis = RestrictedWaveletDP(distributions, "sae").solve(budget)
+    seconds = time.perf_counter() - start
+    print(
+        f"[wavelet] sae n={n} B={budget} |V|={distributions.values.size}  "
+        f"{seconds:7.3f}s  optimal error {error!r}"
+    )
+    return {
+        "metric": "sae",
+        "n": n,
+        "budget": budget,
+        "dataset": "zipf",
+        "grid_size": int(distributions.values.size),
+        "seconds": round(seconds, 4),
+        "optimal_error": error,
+        "retained": len(synopsis),
+    }
 
 
 def main(argv=None) -> int:
@@ -203,7 +188,7 @@ def main(argv=None) -> int:
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     curve = histogram_scaling(sizes, HEADLINE_BUCKETS, args.verify_cap)
-    leaf = wavelet_leaf_kernel()
+    wavelet = wavelet_restricted_dp(SMOKE_WAVELET_N if args.smoke else WAVELET_N)
 
     headline = next((entry for entry in curve if entry["n"] == HEADLINE_N), None)
     if args.smoke:
@@ -227,7 +212,7 @@ def main(argv=None) -> int:
         "meets_target": meets_target,
         "headline_seconds": None if headline is None else headline["compiled_seconds"],
         "histogram_scaling": curve,
-        "wavelet_leaf_kernel": leaf,
+        "wavelet_restricted_dp": wavelet,
     }
     output = Path(args.output)
     output.write_text(json.dumps(payload, indent=2) + "\n")

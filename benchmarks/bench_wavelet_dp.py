@@ -9,8 +9,9 @@ Emits ``BENCH_wavelet_dp.json``, the wavelet-side counterpart of
 Two Figure-4-scale headline configurations (n = 256, B = 16, one cumulative
 and one maximum metric) time a full restricted-DP solve of both engines.
 Every timed run is held to *bit-identical* optimal errors and retained sets
-— both solvers share one leaf-error kernel and one tie-breaking order, so
-any difference at all would be a bug, not noise.  A smaller ablation
+— both solvers score leaves through one batch-independent function and
+share one tie-breaking order, so any difference at all would be a bug, not
+noise.  A smaller ablation
 (non-power-of-two domain) checks the whole budget sweep ``0..B`` against
 per-budget reference re-solves, and a sweep section records the
 all-budgets-in-one-pass advantage of the tabulation.

@@ -1,9 +1,9 @@
 """Compiled (JIT / C) implementations of the package's hot loops.
 
-The histogram DP kernels, the wavelet leaf-error kernel and the SAE/SARE
-pooled-median span costs are exact algorithms whose cost is dominated by
-scalar inner loops; this subpackage provides compiled implementations of
-all of them behind a single resolver:
+The histogram DP kernels and the SAE/SARE pooled-median span costs are
+exact algorithms whose cost is dominated by scalar inner loops; this
+subpackage provides compiled implementations of all of them behind a
+single resolver:
 
 * :mod:`~repro._compiled.kernels_py` — the pure-Python algorithmic source
   (nopython-subset; what numba compiles and what the tests verify);
@@ -15,8 +15,8 @@ all of them behind a single resolver:
   ``REPRO_COMPILED_BACKEND`` override.
 
 Nothing here is required: when no backend is available the registry's numpy
-kernels and the oracles' numpy batch paths solve everything, at the old
-speed.
+kernels and the SAE/SARE oracle's numpy batch path solve everything, at the
+old speed.
 """
 
 from .backend import CompiledBackend, get_backend, numba_version, reset_backend

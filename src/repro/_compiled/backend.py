@@ -2,9 +2,9 @@
 
 The rest of the package never imports a concrete backend module; it asks
 :func:`get_backend` for the process-wide :class:`CompiledBackend` (or
-``None`` when nothing compiled is available) and calls its four entry
-points: the two histogram DPs, the wavelet leaf errors and the SAE/SARE
-span costs.  All backends share one calling convention — the signatures of
+``None`` when nothing compiled is available) and calls its three entry
+points: the two histogram DPs and the SAE/SARE span costs.  All backends
+share one calling convention — the signatures of
 :mod:`repro._compiled.kernels_py` — so callers are backend-agnostic.
 
 Resolution order and the ``REPRO_COMPILED_BACKEND`` override:
@@ -48,12 +48,11 @@ _AUTO_ORDER = ("numba", "cc")
 
 @dataclass(frozen=True)
 class CompiledBackend:
-    """One resolved compiled backend: a name plus its four entry points."""
+    """One resolved compiled backend: a name plus its three entry points."""
 
     name: str
     dp_divide_conquer: Callable
     dp_dense: Callable
-    leaf_errors: Callable
     absolute_span_costs: Callable
     version: str
 
@@ -70,7 +69,6 @@ def _load(name: str) -> Optional[CompiledBackend]:
         name=name,
         dp_divide_conquer=module.dp_divide_conquer,
         dp_dense=module.dp_dense,
-        leaf_errors=module.leaf_errors,
         absolute_span_costs=module.absolute_span_costs,
         version=getattr(module, "version", "interpreted"),
     )

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors", "absolute_span_costs", "version"]
+__all__ = ["dp_divide_conquer", "dp_dense", "absolute_span_costs", "version"]
 
 _SOURCE = Path(__file__).resolve().parent / "ckernels.c"
 
@@ -102,12 +102,6 @@ _lib.repro_dp_divide_conquer.argtypes = [
 ]
 _lib.repro_dp_dense.restype = None
 _lib.repro_dp_dense.argtypes = _lib.repro_dp_divide_conquer.argtypes
-_lib.repro_leaf_errors.restype = None
-_lib.repro_leaf_errors.argtypes = [
-    _C_DOUBLE_P, ctypes.c_int64, _C_DOUBLE_P, _C_INT64_P, _C_DOUBLE_P,
-    _C_DOUBLE_P, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32,
-    ctypes.c_double, _C_DOUBLE_P, _C_DOUBLE_P,
-]
 _lib.repro_absolute_span_costs.restype = None
 _lib.repro_absolute_span_costs.argtypes = [
     _C_DOUBLE_P, _C_DOUBLE_P, _C_DOUBLE_P, _C_DOUBLE_P, _C_DOUBLE_P, ctypes.c_int64,
@@ -138,16 +132,6 @@ def dp_dense(pa, pb, pc, errors, parents):
     max_buckets, n = errors.shape
     _lib.repro_dp_dense(
         _dptr(pa), _dptr(pb), _dptr(pc), n, max_buckets, _dptr(errors), _iptr(parents)
-    )
-
-
-def leaf_errors(probs, values, rows, incoming, weights, squared, relative, sanity, out):
-    """See :func:`repro._compiled.kernels_py.leaf_errors`."""
-    scratch = np.empty(values.shape[0], dtype=np.float64)
-    _lib.repro_leaf_errors(
-        _dptr(probs), values.shape[0], _dptr(values), _iptr(rows), _dptr(incoming),
-        _dptr(weights), rows.shape[0], int(bool(squared)), int(bool(relative)),
-        float(sanity), _dptr(scratch), _dptr(out),
     )
 
 

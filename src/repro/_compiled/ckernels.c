@@ -6,9 +6,9 @@
  * the build passes -ffp-contract=off) so that every backend returns
  * bit-identical results to the numpy reference kernels.
  *
- * Four entry points: the two histogram DPs, the wavelet leaf errors and
- * the SAE/SARE pooled-median span costs.  The DPs use the quadratic
- * prefix form of the span cost
+ * Three entry points: the two histogram DPs and the SAE/SARE
+ * pooled-median span costs.  The DPs use the quadratic prefix form of the
+ * span cost
  *     cost(s, e) = clip(X - Y*Y / Z, 0),  X/Y/Z = A/B/C[e+1] - A/B/C[s],
  * with cost 0 wherever Z <= 0 (zero-weight spans are free).
  */
@@ -123,43 +123,6 @@ void repro_dp_dense(const double *pa, const double *pb, const double *pc,
             row[j] = best;
             prow[j] = best_s;
         }
-    }
-}
-
-/* Batched weighted expected leaf errors with the fixed pairwise-halving
- * reduction of repro.wavelets.leaf_errors (bit-identical bracketing). */
-void repro_leaf_errors(const double *probs, int64_t v, const double *values,
-                       const int64_t *rows, const double *incoming,
-                       const double *weights, int64_t pairs,
-                       int32_t squared, int32_t relative, double sanity,
-                       double *scratch, double *out) {
-    for (int64_t p = 0; p < pairs; p++) {
-        const double *prow = probs + rows[p] * v;
-        double inc = incoming[p];
-        for (int64_t j = 0; j < v; j++) {
-            double d = values[j] - inc;
-            double e = squared ? d * d : fabs(d);
-            if (relative) {
-                double den = fabs(values[j]);
-                if (sanity > den) den = sanity;
-                e = squared ? e / (den * den) : e / den;
-            }
-            scratch[j] = prow[j] * e;
-        }
-        int64_t m = v;
-        while (m > 1) {
-            int64_t half = m / 2;
-            for (int64_t i = 0; i < half; i++) {
-                scratch[i] = scratch[2 * i] + scratch[2 * i + 1];
-            }
-            if (m % 2 == 1) {
-                scratch[half] = scratch[m - 1];
-                m = half + 1;
-            } else {
-                m = half;
-            }
-        }
-        out[p] = weights[p] * scratch[0];
     }
 }
 

@@ -27,9 +27,8 @@ one subtract, in that order — reproduces the numpy oracles' span costs
 bit-for-bit, which is what lets the compiled kernels inherit the registry's
 bit-identical-optimum test matrix unchanged.
 
-The other two functions are batch evaluators called from numpy code:
-``leaf_errors`` scores wavelet leaves, and ``absolute_span_costs`` is the
-SAE/SARE pooled-median span cost of
+The third function, ``absolute_span_costs``, is a batch evaluator called
+from numpy code: the SAE/SARE pooled-median span cost of
 :meth:`repro.histograms.absolute.WeightedAbsoluteCost.costs_for_spans`.
 """
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors", "absolute_span_costs"]
+__all__ = ["dp_divide_conquer", "dp_dense", "absolute_span_costs"]
 
 
 def dp_divide_conquer(pa, pb, pc, errors, parents):
@@ -168,52 +167,6 @@ def dp_dense(pa, pb, pc, errors, parents):
                     best_s = s
             errors[b, j] = best
             parents[b, j] = best_s
-
-
-def leaf_errors(probs, values, rows, incoming, weights, squared, relative, sanity, out):
-    """Weighted expected point errors of a batch of real-leaf pairs.
-
-    Pair ``p`` scores leaf row ``rows[p]`` of the ``(n, V)`` marginal matrix
-    against the candidate value ``incoming[p]`` under the point-error metric
-    selected by the ``squared``/``relative`` flags (with sanity constant
-    ``sanity``), times ``weights[p]``.  The accumulation over the value grid
-    uses the same fixed pairwise (binary-tree) bracketing as the numpy path
-    in :mod:`repro.wavelets.leaf_errors` — element ``i`` of each halving
-    pass sums elements ``2i`` and ``2i+1``, an odd tail rides along — so
-    the result is bit-identical to the numpy implementation no matter how
-    the batch is shaped.
-    """
-    v = values.shape[0]
-    scratch = np.empty(v, dtype=np.float64)
-    for p in range(rows.shape[0]):
-        r = rows[p]
-        inc = incoming[p]
-        for j in range(v):
-            d = values[j] - inc
-            if squared:
-                e = d * d
-            else:
-                e = abs(d)
-            if relative:
-                den = abs(values[j])
-                if sanity > den:
-                    den = sanity
-                if squared:
-                    e = e / (den * den)
-                else:
-                    e = e / den
-            scratch[j] = probs[r, j] * e
-        m = v
-        while m > 1:
-            half = m // 2
-            for i in range(half):
-                scratch[i] = scratch[2 * i] + scratch[2 * i + 1]
-            if m % 2 == 1:
-                scratch[half] = scratch[m - 1]
-                m = half + 1
-            else:
-                m = half
-        out[p] = weights[p] * scratch[0]
 
 
 def absolute_span_costs(below_w, below_wv, prefix_w, prefix_wv, values, starts, ends, out):

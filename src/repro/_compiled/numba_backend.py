@@ -18,7 +18,7 @@ import numba
 
 from . import kernels_py
 
-__all__ = ["dp_divide_conquer", "dp_dense", "leaf_errors", "absolute_span_costs", "version"]
+__all__ = ["dp_divide_conquer", "dp_dense", "absolute_span_costs", "version"]
 
 version = numba.__version__
 
@@ -26,5 +26,4 @@ _jit = numba.njit(cache=True, fastmath=False, nogil=True)
 
 dp_divide_conquer = _jit(kernels_py.dp_divide_conquer)
 dp_dense = _jit(kernels_py.dp_dense)
-leaf_errors = _jit(kernels_py.leaf_errors)
 absolute_span_costs = _jit(kernels_py.absolute_span_costs)

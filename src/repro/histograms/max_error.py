@@ -149,6 +149,7 @@ class _MaxEnvelopeCost(BucketCostFunction):
         """
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
+        self._check_spans(starts, ends)
         out = np.empty(starts.shape, dtype=float)
         if starts.size == 0:
             return out

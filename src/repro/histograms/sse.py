@@ -219,6 +219,7 @@ class SseCost(BucketCostFunction):
     def costs_for_spans(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
+        self._check_spans(starts, ends)
         widths = ends - starts + 1
         sum_expectation = self._prefix_expectation[ends + 1] - self._prefix_expectation[starts]
         sum_second_moment = (

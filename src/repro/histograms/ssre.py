@@ -107,6 +107,7 @@ class SsreCost(BucketCostFunction):
     def costs_for_spans(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
+        self._check_spans(starts, ends)
         x = self._prefix_x[ends + 1] - self._prefix_x[starts]
         y = self._prefix_y[ends + 1] - self._prefix_y[starts]
         z = self._prefix_z[ends + 1] - self._prefix_z[starts]

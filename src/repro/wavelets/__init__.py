@@ -13,7 +13,7 @@ Contents:
 * :mod:`repro.wavelets.reference` — the recursive memoised reference solver
   the tabulated engine is equivalence-tested against;
 * :mod:`repro.wavelets.leaf_errors` — the shared batched expected-leaf-error
-  kernel both solvers evaluate through;
+  sweep both solvers evaluate through;
 * :mod:`repro.wavelets.baselines` — the sampled-world baseline of Figure 4.
 """
 

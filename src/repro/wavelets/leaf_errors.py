@@ -1,34 +1,36 @@
-"""Shared expected-leaf-error kernel for the restricted wavelet DPs.
+"""Shared expected-leaf-error evaluation for the restricted wavelet DPs.
 
 Both restricted-DP solvers — the fast tabulated engine in
 :mod:`repro.wavelets.nonsse` and the recursive reference oracle in
 :mod:`repro.wavelets.reference` — score a candidate reconstruction value
-``v`` at a data leaf ``l`` by the same quantity:
+``x`` at a data leaf ``l`` by the same quantity:
 
-    w_l * E[err(g_l, v)] = w_l * sum_j Pr[g_l = V_j] * err(V_j, v),
+    w_l * E[err(g_l, x)] = w_l * sum_j Pr[g_l = V_j] * err(V_j, x),
 
 with padding leaves (positions beyond the real domain) deterministically
 zero and zero-weight leaves free.  This module evaluates that quantity for
-an arbitrary *batch* of ``(leaf, value)`` pairs in one vectorised pass.
+an arbitrary *batch* of ``(leaf, value)`` pairs.
 
-The accumulation over the value grid is a fixed binary-tree (pairwise
-halving) reduction rather than a matrix product.  A BLAS ``dot`` is free to
-reassociate the sum (blocking, SIMD partial sums) differently for a
-``(n, V) @ (V, P)`` product than for a length-``V`` vector dot, so the same
-mathematical sum can differ in the last few ulps depending on batch shape.
-The halving reduction fixes one association order per element that depends
-only on the grid size — never on the batch size — which is what lets the
-equivalence tests and the benchmark demand *bit-identical* optima from the
-two solvers instead of tolerances, while still costing only ``log V``
-vectorised passes.
+Summing all ``|V|`` grid terms per pair would cost ``O(pairs * |V|)``.
+Instead every point error is written as a grid weight times a power of
+``|V_j - x|`` — the weight ``g_j`` is 1, ``1/max(c, |V_j|)`` or
+``1/max(c, |V_j|)^2`` — and the sum is swept off per-row prefix sums over
+the sorted grid:
 
-When a compiled backend (:mod:`repro._compiled`) is available, the
-real-leaf batch runs through its compiled ``leaf_errors`` kernel instead of
-the numpy chunk loop.  The compiled kernel replicates the point-error
-arithmetic *and* the pairwise bracketing operation for operation, so its
-results are bit-identical to the numpy path — both restricted-DP solvers
-share this function either way, so their equivalence is preserved by
-construction.
+* **absolute metrics** (SAE, SARE, MAE, MARE): with ``CW``/``CWV`` the
+  prefix sums of ``p*g`` and ``p*g*V`` and ``k = searchsorted(V, x)``, the
+  terms below ``x`` contribute ``x*CW_below - CWV_below`` and the rest
+  ``(CWV_total - CWV_below) - x*(CW_total - CW_below)``;
+* **squared metrics** (SSE, SSRE): ``A - 2xB + x^2 C`` with
+  ``A, B, C = sum p*g*V^2, sum p*g*V, sum p*g``.
+
+Each grid reduction is a sequential per-row ``np.cumsum`` (totals are its
+last column), never a BLAS product or an axis ``sum``: those may associate
+differently for different batch shapes.  So a pair's result does not depend
+on which other pairs share its batch, and the two solvers — one pair per
+call in the reference, the whole leaf level at once in the engine — get
+bit-identical leaf errors, hence bit-identical optima.  The sweep
+subtracts, so results are clipped at ``+0.0``.
 """
 
 from __future__ import annotations
@@ -36,14 +38,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._compiled import get_backend
 from ..core.metrics import MetricSpec
+from ..exceptions import EvaluationError
 
 __all__ = ["expected_leaf_errors", "leaf_weight_vector"]
-
-#: Soft bound on the number of ``value-grid x pair`` cells materialised at
-#: once; batches beyond it are processed in chunks of this many cells.
-_CELL_BUDGET = 1 << 21
 
 
 def leaf_weight_vector(domain_size: int, length: int, workload) -> np.ndarray:
@@ -79,16 +77,22 @@ def expected_leaf_errors(
     probabilities:
         The ``(n, V)`` per-item marginal probability matrix.
     values:
-        The shared length-``V`` value grid.
+        The shared length-``V`` value grid, in ascending order.
     spec:
-        The error metric (supplies the vectorised point-error function).
+        The error metric.
     leaf_indices / incoming:
         Equal-length arrays: pair ``p`` asks for leaf ``leaf_indices[p]``
         approximated by the value ``incoming[p]``.  Indices at or beyond the
         real domain address padding leaves (deterministically zero).
     leaf_weights:
         Per-leaf workload weights over the padded domain.
+
+    Memory is ``O(distinct real leaves * V + pairs)``: a few copies of the
+    probability rows the batch touches.
     """
+    values = np.asarray(values, dtype=float)
+    if np.any(values[1:] < values[:-1]):
+        raise EvaluationError("the value grid must be sorted in ascending order")
     leaf_indices = np.asarray(leaf_indices, dtype=np.int64)
     incoming = np.asarray(incoming, dtype=float)
     out = np.zeros(incoming.shape, dtype=float)
@@ -105,81 +109,46 @@ def expected_leaf_errors(
         )
 
     real = np.nonzero(live & (leaf_indices < domain_size))[0]
-    if real.size == 0:
-        return out
-    backend = get_backend()
-    if backend is not None:
-        out[real] = _compiled_batch(
-            backend, probabilities, values, spec, leaf_indices[real], incoming[real],
-            weights[real],
+    if real.size:
+        errors = weights[real] * _swept_errors(
+            probabilities, values, spec, leaf_indices[real], incoming[real]
         )
-    else:
-        out[real] = _numpy_batch(
-            probabilities, values, spec, leaf_indices[real], incoming[real], weights[real]
-        )
+        # Clip the sweep's cancellation error; ``+ 0.0`` turns -0.0 into +0.0.
+        out[real] = np.maximum(errors, 0.0) + 0.0
     return out
 
 
-def _numpy_batch(
+def _swept_errors(
     probabilities: np.ndarray,
     values: np.ndarray,
     spec: MetricSpec,
     rows: np.ndarray,
-    incoming: np.ndarray,
-    weights: np.ndarray,
+    x: np.ndarray,
 ) -> np.ndarray:
-    """The vectorised numpy evaluation of a real-leaf batch (the reference)."""
-    out = np.empty(incoming.shape, dtype=float)
-    grid_size = values.size
-    chunk = max(1, _CELL_BUDGET // max(1, grid_size))
-    for start in range(0, rows.size, chunk):
-        stop = start + chunk
-        # (V, P) point errors of every grid value against every candidate.
-        errors = np.asarray(
-            spec.point_error(values[:, None], incoming[start:stop][None, :]), dtype=float
-        )
-        products = probabilities[rows[start:stop]] * errors.T
-        out[start:stop] = weights[start:stop] * _pairwise_sum(products)
-    return out
+    """Unweighted ``sum_j p[row, j] * err(V_j, x)`` per pair, by prefix sweeps."""
+    # Each distinct row is swept once; ``slot`` maps a pair to its row's sweep.
+    present = np.zeros(probabilities.shape[0], dtype=bool)
+    present[rows] = True
+    slot = (np.cumsum(present) - 1)[rows]
+    weighted = np.asarray(probabilities, dtype=float)[present]
+    if spec.relative:
+        scale = np.maximum(float(spec.sanity), np.abs(values))
+        weighted /= scale * scale if spec.squared else scale
 
+    if spec.squared:
+        c = np.cumsum(weighted, axis=1)[:, -1]
+        weighted *= values
+        b = np.cumsum(weighted, axis=1)[:, -1]
+        weighted *= values
+        a = np.cumsum(weighted, axis=1)[:, -1]
+        return a[slot] - 2.0 * x * b[slot] + x * x * c[slot]
 
-def _compiled_batch(
-    backend,
-    probabilities: np.ndarray,
-    values: np.ndarray,
-    spec: MetricSpec,
-    rows: np.ndarray,
-    incoming: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """The same batch through the compiled backend (bit-identical results)."""
-    out = np.empty(incoming.shape, dtype=np.float64)
-    backend.leaf_errors(
-        np.ascontiguousarray(probabilities, dtype=np.float64),
-        np.ascontiguousarray(values, dtype=np.float64),
-        np.ascontiguousarray(rows, dtype=np.int64),
-        np.ascontiguousarray(incoming, dtype=np.float64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        spec.squared,
-        spec.relative,
-        float(spec.sanity),
-        out,
-    )
-    return out
-
-
-def _pairwise_sum(products: np.ndarray) -> np.ndarray:
-    """Sum over the last axis with a fixed binary-tree bracketing.
-
-    The bracketing depends only on the axis length (the value-grid size),
-    so every element's sum is associated identically no matter how the
-    batch is shaped or chunked.
-    """
-    while products.shape[-1] > 1:
-        if products.shape[-1] % 2:
-            products = np.concatenate(
-                [products[..., 0:-1:2] + products[..., 1::2], products[..., -1:]], axis=-1
-            )
-        else:
-            products = products[..., 0::2] + products[..., 1::2]
-    return products[..., 0]
+    # Column k of the padded prefix sums covers the grid values below V[k].
+    cw = np.zeros((weighted.shape[0], values.size + 1))
+    np.cumsum(weighted, axis=1, out=cw[:, 1:])
+    cwv = np.zeros_like(cw)
+    np.cumsum(weighted * values, axis=1, out=cwv[:, 1:])
+    below = slot * cw.shape[1] + np.searchsorted(values, x)
+    cw_below, cwv_below = cw.take(below), cwv.take(below)
+    cw_total, cwv_total = cw[:, -1][slot], cwv[:, -1][slot]
+    return x * cw_below - cwv_below + (cwv_total - cwv_below) - x * (cw_total - cw_below)

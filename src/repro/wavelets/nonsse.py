@@ -20,8 +20,7 @@ of the fast deterministic wavelet DPs (Guha & Harb):
   retained proper ancestors — are enumerated *exactly* into a sorted grid
   (no float rounding), level by level from the root;
 * all leaf errors for all candidate incoming values are evaluated in one
-  vectorised batch through the shared :mod:`repro.wavelets.leaf_errors`
-  kernel;
+  batch by the shared prefix-sum sweep of :mod:`repro.wavelets.leaf_errors`;
 * the budget min-plus combination at each level runs as broadcast NumPy over
   ``(incoming, left budget, right budget)`` tables, and retained sets are
   reconstructed from back-pointers instead of carrying frozensets through
@@ -35,9 +34,9 @@ node at the given depth, i.e. ``O(n^2)`` states overall, the paper's
 ``O(n^2)``-style behaviour with vectorised constants.  The historical
 recursive solver survives as :class:`repro.wavelets.reference.ReferenceWaveletDP`,
 the equivalence oracle the tests and ``benchmarks/bench_wavelet_dp.py`` hold
-this engine to — bit for bit, which is why both share one leaf-error kernel
-and break ties identically (first candidate in ``(keep-nothing, ascending
-left budget)`` order wins).
+this engine to — bit for bit, which is why both score leaves through that
+one batch-independent function and break ties identically (first candidate
+in ``(keep-nothing, ascending left budget)`` order wins).
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ two solvers can be compared bit for bit rather than within tolerances:
   of requiring a ``1e-15`` improvement, so the reported optimum is the true
   minimum of the candidate set rather than up to an epsilon above it.
 
-Leaf errors go through the shared :mod:`repro.wavelets.leaf_errors` kernel,
-which fixes one accumulation order for both solvers.
+Leaf errors go through the shared
+:func:`repro.wavelets.leaf_errors.expected_leaf_errors`, whose result for a
+pair does not depend on the batch it arrives in, so this solver's one-pair
+calls match the engine's whole-level batch bit for bit.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The compiled kernels' contract has three legs, each pinned here:
 
 * **bit-identity** — whichever backend resolves (numba, the C library, or
-  the interpreted kernel source), the DP tables, leaf-error batches and
-  SAE/SARE span costs it produces are ``array_equal`` to the numpy
-  reference paths, never merely close;
+  the interpreted kernel source), the DP tables and SAE/SARE span costs it
+  produces are ``array_equal`` to the numpy reference paths, never merely
+  close;
 * **truthful availability** — with no backend, ``available_kernels()``
   omits the compiled kernels, ``resolve_kernel`` falls back loudly
   (:class:`KernelFallbackWarning`), and nothing anywhere hard-imports
@@ -25,7 +25,6 @@ from repro import KernelFallbackWarning
 from repro._compiled import backend as backend_mod
 from repro._compiled import get_backend, numba_version, reset_backend
 from repro._compiled import kernels_py
-from repro.core.metrics import MetricSpec
 from repro.datasets import zipf_value_pdf
 from repro.exceptions import SynopsisError
 from repro.histograms import (
@@ -39,7 +38,6 @@ from repro.histograms import (
 from repro.histograms.kernels import get_kernel
 from repro.histograms.kernels.compiled import MAX_COMPILED_DENSE_CELLS
 from repro.models import FrequencyDistributions, ValueGrid
-from repro.wavelets.leaf_errors import _compiled_batch, _numpy_batch, expected_leaf_errors
 from tests.conftest import small_tuple_pdf, small_value_pdf
 
 HAVE_BACKEND = get_backend() is not None
@@ -282,23 +280,6 @@ class TestInterpretedKernelSource:
         assert np.array_equal(errors, reference._errors)
         assert np.array_equal(parents, reference._parents)
 
-    def test_interpreted_leaf_errors_match_numpy(self):
-        rng = np.random.default_rng(103)
-        probabilities = rng.dirichlet(np.ones(6), size=9)
-        values = np.sort(rng.uniform(0.0, 5.0, 6))
-        rows = np.arange(9, dtype=np.int64)
-        incoming = rng.uniform(0.0, 5.0, 9)
-        weights = rng.uniform(0.5, 2.0, 9)
-        for metric in ("sae", "sse", "sare", "ssre"):
-            spec = MetricSpec.of(metric, sanity=0.5)
-            baseline = _numpy_batch(probabilities, values, spec, rows, incoming, weights)
-            out = np.empty(9)
-            kernels_py.leaf_errors(
-                probabilities, values, rows, incoming, weights,
-                spec.squared, spec.relative, float(spec.sanity), out,
-            )
-            assert np.array_equal(out, baseline), metric
-
 
 # ----------------------------------------------------------------------
 # The flat-oracle contract
@@ -331,46 +312,6 @@ class TestToCompiledArrays:
         model = small_value_pdf(seed=942, domain_size=7)
         cost_fn = make_cost_function(model, metric, sanity=1.0)
         assert cost_fn.to_compiled_arrays() is None
-
-
-# ----------------------------------------------------------------------
-# Wavelet leaf-error fast path
-# ----------------------------------------------------------------------
-@needs_backend
-class TestCompiledLeafErrors:
-    @pytest.mark.parametrize("metric", ["sae", "sse", "sare", "ssre"])
-    def test_batch_bit_identical_to_numpy(self, metric):
-        rng = np.random.default_rng(950)
-        probabilities = rng.dirichlet(np.ones(7), size=12)
-        values = np.sort(rng.uniform(0.0, 9.0, 7))
-        rows = np.repeat(np.arange(12, dtype=np.int64), 3)
-        incoming = rng.uniform(0.0, 9.0, rows.size)
-        weights = rng.uniform(0.1, 3.0, rows.size)
-        spec = MetricSpec.of(metric, sanity=0.5)
-        baseline = _numpy_batch(probabilities, values, spec, rows, incoming, weights)
-        compiled = _compiled_batch(
-            get_backend(), probabilities, values, spec, rows, incoming, weights
-        )
-        assert np.array_equal(compiled, baseline)
-
-    def test_end_to_end_matches_backendless_path(self, clean_backend):
-        rng = np.random.default_rng(951)
-        probabilities = rng.dirichlet(np.ones(5), size=8)
-        values = np.sort(rng.uniform(0.0, 4.0, 5))
-        spec = MetricSpec.of("sare", sanity=1.0)
-        # Padding leaves, zero weights and real leaves all mixed in one batch.
-        leaf_indices = np.array([0, 3, 7, 8, 9, 5], dtype=np.int64)
-        incoming = rng.uniform(0.0, 4.0, 6)
-        leaf_weights = np.array([1.0, 0.0, 2.0, 1.5, 1.0, 0.5, 1.0, 0.25, 2.0, 0.0])
-        with_backend = expected_leaf_errors(
-            probabilities, values, spec, leaf_indices, incoming, leaf_weights
-        )
-        clean_backend.setenv(backend_mod.BACKEND_ENV, "none")
-        reset_backend()
-        without_backend = expected_leaf_errors(
-            probabilities, values, spec, leaf_indices, incoming, leaf_weights
-        )
-        assert np.array_equal(with_backend, without_backend)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the SSRE, SAE and SARE bucket-cost oracles."""
+"""Tests for the SSRE, SAE and SARE bucket-cost oracles, plus span validation in every oracle."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,10 @@ from repro._compiled import reset_backend
 from repro._compiled.backend import BACKEND_ENV
 from repro.core.metrics import MetricSpec
 from repro.datasets import zipf_value_pdf
+from repro.histograms.max_error import MaxAbsoluteCost, MaxAbsoluteRelativeCost
 from repro.histograms.sae import SaeCost
 from repro.histograms.sare import SareCost
+from repro.histograms.sse import SseCost
 from repro.histograms.ssre import SsreCost
 from repro.exceptions import SynopsisError
 from tests.conftest import small_tuple_pdf, small_value_pdf
@@ -198,7 +200,10 @@ def span_path(request, monkeypatch):
 class TestSpanValidation:
     """Invalid spans raise instead of wrapping around or reading past the arrays."""
 
-    @pytest.mark.parametrize("oracle", [SaeCost, SareCost])
+    @pytest.mark.parametrize(
+        "oracle",
+        [SaeCost, SareCost, SseCost, SsreCost, MaxAbsoluteCost, MaxAbsoluteRelativeCost],
+    )
     @pytest.mark.parametrize(
         "starts, ends",
         [([-1, 0], [3, 7]), ([0, 2], [3, 8]), ([0, 4], [3, 3])],
