@@ -14,7 +14,10 @@ share one tie-breaking order, so any difference at all would be a bug, not
 noise.  A smaller ablation
 (non-power-of-two domain) checks the whole budget sweep ``0..B`` against
 per-budget reference re-solves, and a sweep section records the
-all-budgets-in-one-pass advantage of the tabulation.
+all-budgets-in-one-pass advantage of the tabulation.  One more ablation row
+runs deterministic integer frequencies, where different retained-ancestor
+subsets reach exactly equal incoming values: the engine keeps those as
+separate states and the reference memoises them as one.
 
 ``--smoke`` runs only small instances with the equality assertions and no
 speedup gate — the CI-friendly mode.
@@ -33,6 +36,7 @@ import numpy as np
 from _env import environment
 from repro._version import __version__
 from repro.datasets import zipf_value_pdf
+from repro.models.frequency import FrequencyDistributions
 from repro.wavelets.nonsse import RestrictedWaveletDP
 from repro.wavelets.reference import ReferenceWaveletDP
 
@@ -108,9 +112,10 @@ def run_headline(distributions, n, metric, budget):
     }
 
 
-def run_all_budget_equivalence(distributions, n, metric, budget):
+def run_all_budget_equivalence(distributions, n, metric, budget, dataset="zipf"):
     """Every budget 0..B of one sweep against per-budget reference re-solves."""
-    print(f"[ablation/{metric}] n={n}, budgets 0..{budget}")
+    name = f"ablation/{dataset}/{metric}"
+    print(f"[{name}] n={n}, budgets 0..{budget}")
     fast = RestrictedWaveletDP(distributions, metric).prepare(budget)
     reference = ReferenceWaveletDP(distributions, metric)
     start = time.perf_counter()
@@ -119,8 +124,8 @@ def run_all_budget_equivalence(distributions, n, metric, budget):
     seconds = time.perf_counter() - start
     print(f"  {budget + 1} budgets identical ({seconds:.1f}s)")
     return {
-        "name": f"ablation/{metric}",
-        "config": {"n": n, "budgets": f"0..{budget}", "metric": metric, "dataset": "zipf"},
+        "name": name,
+        "config": {"n": n, "budgets": f"0..{budget}", "metric": metric, "dataset": dataset},
         "budgets_checked": budget + 1,
         "optimal_errors_identical": True,
         "retained_sets_identical": True,
@@ -162,6 +167,13 @@ def main(argv=None) -> int:
         run_all_budget_equivalence(ablation_dists, ablation_n, metric, ablation_budget)
         for metric in ("sae", "sare", "mae", "mare")
     ]
+    integer_values = np.random.default_rng(7).integers(0, 3, size=ablation_n).astype(float)
+    ablation.append(
+        run_all_budget_equivalence(
+            FrequencyDistributions.deterministic(integer_values),
+            ablation_n, "sae", ablation_budget, dataset="integer",
+        )
+    )
 
     worst_speedup = min(entry["speedup_vs_reference"] for entry in headline)
     meets_target = args.smoke or worst_speedup >= TARGET_SPEEDUP

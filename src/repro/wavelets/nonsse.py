@@ -16,27 +16,29 @@ version and is out of scope here.
 The solver is a tabulated, bottom-up, level-order formulation in the style
 of the fast deterministic wavelet DPs (Guha & Harb):
 
-* every node's reachable incoming reconstruction values — one per subset of
-  retained proper ancestors — are enumerated *exactly* into a sorted grid
-  (no float rounding), level by level from the root;
+* each depth ``d`` of the error tree is one fixed-shape ``(2^d, 2^(d+1))``
+  array of incoming reconstruction values, one per subset of retained
+  proper ancestors.  A child's row is its parent's row followed by the same
+  values shifted by the parent's contribution, so every child row is found
+  by arithmetic: no sorting, searching or index maps;
 * all leaf errors for all candidate incoming values are evaluated in one
   batch by the shared prefix-sum sweep of :mod:`repro.wavelets.leaf_errors`;
 * the budget min-plus combination at each level runs as broadcast NumPy over
-  ``(incoming, left budget, right budget)`` tables, and retained sets are
-  reconstructed from back-pointers instead of carrying frozensets through
-  every state.
+  ``(incoming, left budget, right budget)`` tables read through strided
+  views of the child level, and retained sets are reconstructed from
+  back-pointers instead of carrying frozensets through every state.
 
-One tabulation serves the *whole budget sweep*: the tables' column ``b``
-holds the optimum for budget ``b``, so every ``b' <= B`` is read off one
-solve, mirroring the histogram engine.  The state space is the reachable
-``(node, incoming)`` pairs — at most ``2^(depth+1)`` incoming values for a
-node at the given depth, i.e. ``O(n^2)`` states overall, the paper's
+One tabulation serves the *whole budget sweep*: the tables' budget row
+``b`` holds the optimum for budget ``b``, so every ``b' <= B`` is read off
+one solve, mirroring the histogram engine.  A node at depth ``d`` has exactly
+``2^(d+1)`` states, i.e. ``O(n^2)`` states overall, the paper's
 ``O(n^2)``-style behaviour with vectorised constants.  The historical
 recursive solver survives as :class:`repro.wavelets.reference.ReferenceWaveletDP`,
 the equivalence oracle the tests and ``benchmarks/bench_wavelet_dp.py`` hold
 this engine to — bit for bit, which is why both score leaves through that
-one batch-independent function and break ties identically (first candidate
-in ``(keep-nothing, ascending left budget)`` order wins).
+one batch-independent function, form every incoming value by the same
+``incoming ± contribution`` steps, and break ties identically (first
+candidate in ``(keep-nothing, ascending left budget)`` order wins).
 """
 
 from __future__ import annotations
@@ -62,31 +64,8 @@ __all__ = [
 ]
 
 #: Soft bound on the number of table cells one candidate block materialises;
-#: larger levels are processed in row chunks of this many cells.
+#: larger levels are processed in blocks of parent nodes that fit within it.
 _CELL_BUDGET = 1 << 21
-
-
-class _Level:
-    """One depth of the error tree, tabulated over its ``(node, incoming)`` rows.
-
-    Rows are the concatenation, in increasing node order, of every node's
-    incoming-value grid.  ``left0``/``right0`` map each row to the child-level
-    rows reached when the node's coefficient is *not* retained, ``left1``/
-    ``right1`` when it is (incoming shifted by ``±mu/factor``).
-    """
-
-    __slots__ = (
-        "node_of_row", "left0", "left1", "right0", "right1", "table", "choice",
-    )
-
-    def __init__(self, node_of_row, left0, left1, right0, right1):
-        self.node_of_row = node_of_row
-        self.left0 = left0
-        self.left1 = left1
-        self.right0 = right0
-        self.right1 = right1
-        self.table = None
-        self.choice = None
 
 
 class RestrictedWaveletDP:
@@ -105,8 +84,17 @@ class RestrictedWaveletDP:
         workload-weighted objective.
 
     One instance amortises across budgets: :meth:`solve` tabulates lazily up
-    to the requested budget and any smaller budget is a column read of the
-    same tables (:meth:`sweep` returns them all at once).
+    to the requested budget and any smaller budget is read off the same
+    tables (:meth:`sweep` returns them all at once).
+
+    State layout: detail node ``2^d + p`` sits at depth ``d``, row ``p``.
+    Its ``m = 2^(d+1)`` incoming values are row ``p`` of the depth's value
+    array, the root detail's being ``[0, mu_0/f_0]``.  Skipping the node's
+    coefficient sends state ``(p, i)`` to child states ``(2p, i)`` and
+    ``(2p+1, i)``; retaining it sends it to ``(2p, m+i)`` and
+    ``(2p+1, m+i)``, whose values are the parent's shifted by ``+`` and
+    ``-`` its contribution.  Equal values reached along different paths are
+    kept as separate states.
     """
 
     def __init__(
@@ -121,101 +109,58 @@ class RestrictedWaveletDP:
         self._spec = metric if isinstance(metric, MetricSpec) else MetricSpec.of(metric, sanity)
         self._n = distributions.domain_size
         self._length = next_power_of_two(self._n)
+        self._depths = self._length.bit_length() - 1
         self._factors = normalisation_factors(self._length)
         self._mu = expected_coefficients(distributions)
         self._values = distributions.values
         self._probs = distributions.probabilities
         self._leaf_weights = leaf_weight_vector(self._n, self._length, workload)
         self._contrib = self._mu / self._factors
-        # Budget-independent structure (grids, child maps, leaf errors) is
-        # built once; DP tables are (re)built when a larger cap is requested.
-        self._levels: List[_Level] | None = None
+        # Leaf errors are budget-independent and computed once; DP tables
+        # are (re)built when a larger cap is requested.
         self._leaf_errors: np.ndarray | None = None
-        self._root_rows: Tuple[int, int] | None = None
+        self._choices: List[np.ndarray] = []
         self._cap: int | None = None
         self._errors: np.ndarray | None = None
         self._root_choice: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # Budget-independent structure: incoming grids, child maps, leaf errors
+    # Budget-independent structure: leaf errors over the leaf value grid
     # ------------------------------------------------------------------
-    def _ensure_structure(self) -> None:
-        if self._levels is not None or self._length == 1:
-            return
-        length = self._length
-        contrib = self._contrib
-
-        # Reachable incoming grids, enumerated exactly top-down: a child's
-        # grid is its parent's grid united with the parent grid shifted by
-        # the parent's contribution (+ for left children, - for right).
-        grids: List[np.ndarray | None] = [None] * (2 * length)
-        grids[1] = np.unique(np.array([0.0, contrib[0]]))
-        for node in range(2, 2 * length):
-            base = grids[node // 2]
-            shifted = base + contrib[node // 2] if node % 2 == 0 else base - contrib[node // 2]
-            grids[node] = np.unique(np.concatenate([base, shifted]))
-
-        def offsets_for(first: int, count: int) -> np.ndarray:
-            sizes = [grids[first + i].size for i in range(count)]
-            return np.concatenate([[0], np.cumsum(sizes)])
-
-        depth_count = length.bit_length() - 1
-        levels: List[_Level] = []
-        for depth in range(depth_count):
-            first = 1 << depth
-            count = first
-            child_offsets = offsets_for(2 * first, 2 * count)
-            node_of_row, left0, left1, right0, right1 = [], [], [], [], []
-            for node in range(first, 2 * first):
-                grid = grids[node]
-                left, right = 2 * node, 2 * node + 1
-                left_base = child_offsets[left - 2 * first]
-                right_base = child_offsets[right - 2 * first]
-                node_of_row.append(np.full(grid.size, node, dtype=np.int64))
-                left0.append(left_base + np.searchsorted(grids[left], grid))
-                left1.append(left_base + np.searchsorted(grids[left], grid + contrib[node]))
-                right0.append(right_base + np.searchsorted(grids[right], grid))
-                right1.append(right_base + np.searchsorted(grids[right], grid - contrib[node]))
-            levels.append(
-                _Level(
-                    np.concatenate(node_of_row),
-                    np.concatenate(left0),
-                    np.concatenate(left1),
-                    np.concatenate(right0),
-                    np.concatenate(right1),
-                )
+    def _ensure_leaf_errors(self) -> np.ndarray:
+        """``(L, 2L)`` errors of every leaf for every incoming value it can see."""
+        if self._leaf_errors is None:
+            contrib = self._contrib
+            incoming = np.array([[0.0, contrib[0]]])
+            for depth in range(self._depths):
+                nodes, m = incoming.shape
+                shift = contrib[nodes : 2 * nodes, None]
+                child = np.empty((2 * nodes, 2 * m))
+                child[0::2, :m] = child[1::2, :m] = incoming
+                np.add(incoming, shift, out=child[0::2, m:])
+                np.subtract(incoming, shift, out=child[1::2, m:])
+                incoming = child
+            leaves, m = incoming.shape
+            errors = expected_leaf_errors(
+                self._probs,
+                self._values,
+                self._spec,
+                np.repeat(np.arange(leaves), m),
+                incoming.ravel(),
+                self._leaf_weights,
             )
-
-        root_grid = grids[1]
-        self._root_rows = (
-            int(np.searchsorted(root_grid, 0.0)),
-            int(np.searchsorted(root_grid, contrib[0])),
-        )
-        self._levels = levels
-
-        # All leaf errors for all candidate incoming values, one batch.
-        leaf_index = np.concatenate(
-            [np.full(grids[length + leaf].size, leaf, dtype=np.int64) for leaf in range(length)]
-        )
-        leaf_incoming = np.concatenate([grids[length + leaf] for leaf in range(length)])
-        self._leaf_errors = expected_leaf_errors(
-            self._probs, self._values, self._spec, leaf_index, leaf_incoming, self._leaf_weights
-        )
+            self._leaf_errors = errors.reshape(leaves, m)
+        return self._leaf_errors
 
     # ------------------------------------------------------------------
     # Budget-dependent tables
     # ------------------------------------------------------------------
-    def _combine(self, left, right, out=None):
-        if self._spec.cumulative:
-            return np.add(left, right, out=out)
-        return np.maximum(left, right, out=out)
-
     def _tabulate(self, cap: int) -> None:
-        """Fill every level's ``(row, budget)`` error table and back-pointers.
+        """Fill every level's ``(budget, node, incoming)`` error table and back-pointers.
 
-        Column ``b`` of a table depends only on child columns ``<= b``, so
-        the tables built for one cap serve every smaller budget unchanged —
-        the all-budgets-in-one-pass sweep.
+        Row ``b`` of a table depends only on child rows ``<= b``, so the
+        tables built for one cap serve every smaller budget unchanged — the
+        all-budgets-in-one-pass sweep.
         """
         if self._cap is not None and self._cap >= cap:
             return
@@ -224,113 +169,106 @@ class RestrictedWaveletDP:
 
     def _tabulate_levels(self, cap: int) -> None:
         width = cap + 1
+        table = self._ensure_leaf_errors()  # leaf level: budget-free
+        choices: List[np.ndarray] = [None] * self._depths
+        for depth in reversed(range(self._depths)):
+            with span("build.wavelet_level", depth=depth, rows=(1 << depth) * (2 << depth)):
+                table, choices[depth] = self._tabulate_level(table, cap)
 
-        if self._length == 1:
-            errors = expected_leaf_errors(
-                self._probs,
-                self._values,
-                self._spec,
-                np.zeros(2, dtype=np.int64),
-                np.array([0.0, self._contrib[0]]),
-                self._leaf_weights,
-            )
-            keep = errors[1] < errors[0]
-            self._errors = np.full(width, errors[1] if keep else errors[0])
-            self._errors[0] = errors[0]
-            self._root_choice = np.full(width, keep, dtype=bool)
-            self._root_choice[0] = False
-            self._cap = cap
-            return
-
-        self._ensure_structure()
-        child_table: np.ndarray = self._leaf_errors  # leaf level: budget-free
-        depth = len(self._levels)
-        for level in reversed(self._levels):
-            depth -= 1
-            rows = level.node_of_row.size
-            with span("build.wavelet_level", depth=depth, rows=rows):
-                table = np.empty((rows, width))
-                choice = np.empty((rows, width), dtype=np.int32)
-                chunk = max(1, _CELL_BUDGET // max(1, 2 * cap + 1))
-                for start in range(0, rows, chunk):
-                    stop = min(start + chunk, rows)
-                    block = slice(start, stop)
-                    tl0 = child_table[level.left0[block]]
-                    tl1 = child_table[level.left1[block]]
-                    tr0 = child_table[level.right0[block]]
-                    tr1 = child_table[level.right1[block]]
-                    if child_table.ndim == 1:
-                        # Children are leaves: errors are budget-free, so every
-                        # budget split is the same candidate and the choice is
-                        # only retain-or-not (not-retain winning exact ties).
-                        base0 = self._combine(tl0, tr0)
-                        base1 = self._combine(tl1, tr1)
-                        table[block, 0] = base0
-                        choice[block, 0] = 0
-                        if cap >= 1:
-                            keep = base1 < base0
-                            table[block, 1:] = np.where(keep, base1, base0)[:, None]
-                            for b in range(1, width):
-                                choice[block, b] = np.where(keep, b + 1, 0)
-                    else:
-                        # Candidates for budget b, in the reference's order:
-                        # skip this coefficient with every split bl + br = b,
-                        # then retain it with every split bl + br = b - 1.
-                        for b in range(width):
-                            cands = np.empty((stop - start, 2 * b + 1))
-                            self._combine(tl0[:, : b + 1], tr0[:, b::-1], out=cands[:, : b + 1])
-                            if b >= 1:
-                                self._combine(tl1[:, :b], tr1[:, b - 1 :: -1], out=cands[:, b + 1 :])
-                            choice[block, b] = np.argmin(cands, axis=1)
-                            table[block, b] = np.min(cands, axis=1)
-                level.table = table
-                level.choice = choice
-                child_table = table
-
-        # Root: spend one unit on the overall average c_0 or not.
-        row0, row1 = self._root_rows
-        top = self._levels[0].table
+        # Root: spend one unit on the overall average c_0 or not.  With no
+        # detail levels (length 1) the root reads the budget-free leaf.
+        top = table[:, 0] if self._depths else np.broadcast_to(table, (width, 2))
+        skip, keep = top[:, 0], top[:, 1]
         errors = np.empty(width)
         root_choice = np.zeros(width, dtype=bool)
-        errors[0] = top[row0, 0]
+        errors[0] = skip[0]
         if cap >= 1:
-            skip, keep = top[row0, 1:], top[row1, :-1]
-            better = keep < skip
-            errors[1:] = np.where(better, keep, skip)
+            better = keep[:-1] < skip[1:]
+            errors[1:] = np.where(better, keep[:-1], skip[1:])
             root_choice[1:] = better
+        self._choices = choices
         self._errors = errors
         self._root_choice = root_choice
         self._cap = cap
+
+    def _tabulate_level(self, child: np.ndarray, cap: int):
+        """One depth's ``(cap + 1, nodes, m)`` error table and back-pointers.
+
+        ``child`` is the next depth's table, or the ``(L, 2L)`` leaf errors.
+        Its even rows are left children and odd rows right children; the
+        first ``m`` values of a child row are reached by skipping the
+        parent's coefficient and the last ``m`` by retaining it.  So each
+        level reads its children through four strided views, copied block by
+        block of parent nodes to budget-major ``(cap + 1, states)`` tables
+        whose rows are contiguous.
+        """
+        width = cap + 1
+        nodes, m = child.shape[-2] // 2, child.shape[-1] // 2
+        rows = nodes * m
+        combine = np.add if self._spec.cumulative else np.maximum
+        table = np.empty((width, rows))
+        choice = np.zeros((width, rows), dtype=np.int32)
+        if child.ndim == 2:
+            # Children are leaves: errors are budget-free, so every budget
+            # split is the same candidate and the choice is only retain-or-not
+            # (not-retain winning exact ties).
+            skip = combine(child[0::2, :m], child[1::2, :m]).ravel()
+            keep = combine(child[0::2, m:], child[1::2, m:]).ravel()
+            table[0] = skip
+            if cap >= 1:
+                better = keep < skip
+                table[1:] = np.where(better, keep, skip)
+                choice[1:] = np.where(better, np.arange(2, width + 1)[:, None], 0)
+        else:
+            chunk = max(1, _CELL_BUDGET // ((2 * cap + 1) * m))  # parent nodes per block
+            for start in range(0, nodes, chunk):
+                stop = min(start + chunk, nodes)
+                kids = child[:, 2 * start : 2 * stop]
+                states = (stop - start) * m
+                tl0 = kids[:, 0::2, :m].reshape(width, states)
+                tl1 = kids[:, 0::2, m:].reshape(width, states)
+                tr0 = kids[:, 1::2, :m].reshape(width, states)
+                tr1 = kids[:, 1::2, m:].reshape(width, states)
+                block = slice(start * m, stop * m)
+                # Candidates for budget b, in the reference's order: skip
+                # this coefficient with every split bl + br = b, then retain
+                # it with every split bl + br = b - 1.  The minimum selects
+                # without rounding, so the first candidate equal to it is the
+                # one np.argmin would pick.
+                for b in range(width):
+                    cands = np.empty((2 * b + 1, states))
+                    combine(tl0[: b + 1], tr0[b::-1], out=cands[: b + 1])
+                    if b >= 1:
+                        combine(tl1[:b], tr1[b - 1 :: -1], out=cands[b + 1 :])
+                    best = np.minimum.reduce(cands, axis=0, out=table[b, block])
+                    choice[b, block] = np.argmax(cands == best, axis=0)
+        return table.reshape(width, nodes, m), choice.reshape(width, nodes, m)
 
     # ------------------------------------------------------------------
     # Back-pointer reconstruction
     # ------------------------------------------------------------------
     def _retained(self, budget: int) -> List[int]:
-        """Retained coefficient indices for one budget, walked off the back-pointers."""
+        """Retained coefficient indices for one budget, walked off the back-pointers.
+
+        The walk visits ``(depth, p, i, b)`` states: node ``2^depth + p`` with
+        the ``i``-th incoming value of its row and budget ``b``.  Its child
+        states follow from the layout (see the class docstring), so no index
+        map is stored.
+        """
         keep_root = bool(self._root_choice[budget])
-        if self._length == 1:
-            return [0] if keep_root else []
         retained = [0] if keep_root else []
-        row0, row1 = self._root_rows
-        stack = [(0, row1 if keep_root else row0, budget - 1 if keep_root else budget)]
-        last = len(self._levels) - 1
+        stack = [(0, 0, int(keep_root), budget - keep_root)] if self._depths else []
         while stack:
-            depth, row, b = stack.pop()
-            level = self._levels[depth]
-            picked = int(level.choice[row, b])
-            if picked <= b:
-                keep, left_budget = False, picked
-            else:
-                keep, left_budget = True, picked - (b + 1)
+            depth, p, i, b = stack.pop()
+            picked = int(self._choices[depth][b, p, i])
+            keep = picked > b
+            left_budget = picked - (b + 1) if keep else picked
             if keep:
-                retained.append(int(level.node_of_row[row]))
-            if depth < last:
-                if keep:
-                    stack.append((depth + 1, int(level.left1[row]), left_budget))
-                    stack.append((depth + 1, int(level.right1[row]), b - 1 - left_budget))
-                else:
-                    stack.append((depth + 1, int(level.left0[row]), left_budget))
-                    stack.append((depth + 1, int(level.right0[row]), b - left_budget))
+                retained.append((1 << depth) + p)
+            if depth + 1 < self._depths:
+                j = (2 << depth) + i if keep else i
+                stack.append((depth + 1, 2 * p, j, left_budget))
+                stack.append((depth + 1, 2 * p + 1, j, b - keep - left_budget))
         return sorted(retained)
 
     # ------------------------------------------------------------------

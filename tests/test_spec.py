@@ -29,6 +29,8 @@ from repro.core.metrics import ErrorMetric, MetricSpec
 from repro.core.synopsis import Synopsis, synopsis_class, synopsis_kinds
 from repro.core.workload import QueryWorkload
 from repro.exceptions import BudgetClampWarning, SynopsisError
+from repro.models.frequency import FrequencyDistributions
+from repro.models.values import ValueGrid
 from repro.service import SynopsisStore, fingerprint_data
 
 # ----------------------------------------------------------------------
@@ -36,6 +38,9 @@ from repro.service import SynopsisStore, fingerprint_data
 # ----------------------------------------------------------------------
 _FP = "f" * 64
 _FP_VEC = "799eb99a60dd83c57bfe43c1eb5b9e5334fab0ebc120369dee40028729c0004c"
+_FP_DISTS = "32ca2e4769da14bab7233c29d27201353ca09e952eef964eaf51a26dd9a79c72"
+_DISTS_GRID = [0.0, 1.0, 2.0, 5.0]
+_DISTS_PROBS = [[0.5, 0.25, 0.25, 0.0], [0.0, 1.0, 0.0, 0.0], [0.125, 0.125, 0.25, 0.5]]
 _WORKLOAD = np.linspace(0.5, 2.0, 16)
 
 # (name, fingerprint, workload, build kwargs, expected canonical config, key)
@@ -165,6 +170,16 @@ class TestGoldenStoreKeys:
     def test_fingerprint_pinned(self):
         # The dataset fingerprint feeds every key; pin one representative.
         assert fingerprint_data(np.arange(16, dtype=float)) == _FP_VEC
+
+    def test_distributions_fingerprint_pinned(self):
+        # Stores key precomputed marginals by this digest of the grid and
+        # the C-ordered probability bytes, whatever the matrix's memory order.
+        grid = ValueGrid(_DISTS_GRID)
+        c_order = FrequencyDistributions(grid, np.array(_DISTS_PROBS))
+        f_order = FrequencyDistributions(grid, np.asfortranarray(_DISTS_PROBS))
+        assert not f_order.probabilities.flags.c_contiguous
+        assert fingerprint_data(c_order) == _FP_DISTS
+        assert fingerprint_data(f_order) == _FP_DISTS
 
     def test_sweep_budgets_key_like_singles(self):
         sweep = SynopsisSpec(kind="histogram", budget=(4, 8), metric="sse")

@@ -14,6 +14,8 @@ import pytest
 from repro import build_synopsis
 from repro.exceptions import SynopsisError
 from repro.models.frequency import FrequencyDistributions
+from repro.wavelets.coefficients import expected_coefficients
+from repro.wavelets.haar import next_power_of_two, normalisation_factors
 from repro.wavelets.nonsse import (
     RestrictedWaveletDP,
     restricted_wavelet_sweep,
@@ -86,6 +88,47 @@ class TestEquivalenceMatrix:
     def test_single_item_domain(self):
         distributions = FrequencyDistributions.deterministic([2.0])
         assert_identical(distributions, "sae", range(0, 3))
+
+
+def duplicate_incoming_states(distributions):
+    """How many (node, retained-ancestor subset) states repeat another's incoming value.
+
+    Enumerates every subset's incoming value along the same
+    ``incoming ± contribution`` steps both solvers take.
+    """
+    length = next_power_of_two(distributions.domain_size)
+    contrib = expected_coefficients(distributions) / normalisation_factors(length)
+    incoming = {1: [0.0, contrib[0]]}
+    for node in range(2, 2 * length):
+        parent, shift = incoming[node // 2], contrib[node // 2]
+        incoming[node] = parent + [v + shift if node % 2 == 0 else v - shift for v in parent]
+    return sum(len(values) - len(set(values)) for values in incoming.values())
+
+
+def integer_frequencies(n):
+    values = np.random.default_rng(1).integers(0, 3, size=n).astype(float)
+    return FrequencyDistributions.deterministic(values)
+
+
+class TestDuplicateIncomingValues:
+    """Different ancestor subsets reaching exactly equal incoming values.
+
+    The engine keeps such states as separate rows of its fixed-shape levels;
+    the reference memoises them as one.  Both must still agree bit for bit.
+    """
+
+    CASES = {
+        "integer-n16": lambda: integer_frequencies(16),
+        "integer-n13-padded": lambda: integer_frequencies(13),
+        "constant-n16": lambda: FrequencyDistributions.deterministic([2.0] * 16),
+    }
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case, metric):
+        distributions = self.CASES[case]()
+        assert duplicate_incoming_states(distributions) > 0
+        assert_identical(distributions, metric, range(0, 9))
 
 
 class TestSweepSemantics:
