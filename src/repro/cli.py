@@ -619,7 +619,8 @@ def _run_query(args: argparse.Namespace) -> str:
     errors = engine.attribute_errors(batch)
     if args.json:
         lines = [
-            line.decode().rstrip("\n") for line in encode_responses(requests, answers, errors)
+            line.decode().rstrip("\n")
+            for line in encode_responses([r.id for r in requests], answers, errors)
         ]
         if args.stats:
             lines.append(json_module.dumps(stats_payload, sort_keys=True))

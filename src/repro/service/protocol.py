@@ -1,14 +1,16 @@
 """Versioned wire schema for the synopsis serving layer.
 
 One schema, three surfaces.  :class:`QueryRequest` / :class:`QueryResponse`
-define the wire form of query traffic: the vectorised engine path answers
-batches assembled by :meth:`QueryBatch.from_requests
-<repro.service.queries.QueryBatch.from_requests>`, and both the CLI
-``query --json`` command and the asyncio daemon (:mod:`repro.service.server`)
-turn a batch's answers into newline-delimited JSON with one function,
-:func:`encode_responses`, whose lines are byte-identical to
-:meth:`QueryResponse.to_json`.  There is no second place where an answer is
-turned into bytes, so the surfaces cannot drift apart.
+define the wire form of query traffic: the vectorised engine path answers a
+:class:`~repro.service.queries.QueryBatch` (assembled by
+:meth:`QueryBatch.from_requests
+<repro.service.queries.QueryBatch.from_requests>` in the CLI, and from
+per-target query columns in the daemon), and both the CLI ``query --json``
+command and the asyncio daemon (:mod:`repro.service.server`) turn a batch's
+answers into newline-delimited JSON with one function,
+:func:`encode_responses`, which takes the queries' ids and whose lines are
+byte-identical to :meth:`QueryResponse.to_json`.  There is no second place
+where an answer is turned into bytes, so the surfaces cannot drift apart.
 
 The schema is versioned (:data:`PROTOCOL_VERSION`): every payload carries a
 ``version`` field, and anything outside the supported window
@@ -374,7 +376,7 @@ def error_response(request_id: Optional[RequestId], detail: str, *,
 
 
 def _positional(
-    requests: Sequence[QueryRequest],
+    requests: Sequence[Any],
     answers: np.ndarray,
     expected_errors: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -431,33 +433,34 @@ def _json_floats(values: np.ndarray) -> List[str]:
 
 
 def encode_responses(
-    requests: Sequence[QueryRequest],
+    ids: Sequence[RequestId],
     answers: np.ndarray,
     expected_errors: Optional[np.ndarray] = None,
 ) -> List[bytes]:
-    """The ``ok`` wire lines answering ``requests``, newline-terminated, in order.
+    """The ``ok`` wire lines answering the queries ``ids``, newline-terminated, in order.
 
-    Line ``i`` is byte-identical to ``QueryResponse(id=requests[i].id,
+    Line ``i`` is byte-identical to ``QueryResponse(id=ids[i],
     answer=answers[i], expected_error=expected_errors[i]).to_json() + "\\n"``
     (same key order, the same JSON text for every id and float) but is built
     without validating one :class:`QueryResponse` per answer: the ids were
-    validated with their requests, and the answers are the engine's floats.
+    validated with their queries, and the answers are the engine's floats.
     """
-    answers, expected_errors = _positional(requests, answers, expected_errors)
-    if not requests:
+    answers, expected_errors = _positional(ids, answers, expected_errors)
+    if not ids:
         return []
     head = '{"version":%d,"id":' % PROTOCOL_VERSION
-    ids = [_json_id(request.id) for request in requests]
+    id_texts = [_json_id(request_id) for request_id in ids]
     answer_texts = _json_floats(answers)
     if expected_errors is None:
         return [
             f'{head}{request_id},"status":"ok","answer":{answer}}}\n'.encode()
-            for request_id, answer in zip(ids, answer_texts)
+            for request_id, answer in zip(id_texts, answer_texts)
         ]
     return [
         f'{head}{request_id},"status":"ok","answer":{answer},"expected_error":{error}}}\n'
         .encode()
-        for request_id, answer, error in zip(ids, answer_texts, _json_floats(expected_errors))
+        for request_id, answer, error in zip(id_texts, answer_texts,
+                                             _json_floats(expected_errors))
     ]
 
 
@@ -488,6 +491,10 @@ def parse_request_line(line: Union[str, bytes]) -> Dict[str, Any]:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request line is not valid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ProtocolError(f"request line is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("request line is not valid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"request line must be a JSON object, got {type(payload).__name__}"

@@ -179,8 +179,9 @@ class QueryBatch:
         The batch preserves request order, which is what lets
         :func:`~repro.service.protocol.encode_responses` attribute the
         engine's positional answers back to the originating requests (the
-        daemon's coalescer relies on exactly this round trip).  Requests are already
-        validated at construction, so no re-validation happens here.
+        CLI's ``query --json`` relies on exactly this round trip).  Requests
+        are already validated at construction, so no re-validation happens
+        here.
         """
         return cls(
             np.asarray([_KIND_CODES[request.kind] for request in requests], dtype=np.int8),

@@ -2,9 +2,9 @@
 
 :class:`ServingDaemon` stands the library's serving layer up as a process:
 newline-delimited JSON over TCP (stdlib only — no web framework), one
-:class:`~repro.service.protocol.QueryRequest` per line in, one
-:class:`~repro.service.protocol.QueryResponse` per line out.  Three
-mechanisms make it a serving tier rather than a socket wrapper:
+query in the wire form of :class:`~repro.service.protocol.QueryRequest` per
+line in, one :class:`~repro.service.protocol.QueryResponse` per line out.
+Three mechanisms make it a serving tier rather than a socket wrapper:
 
 * **Request coalescing.**  Queries against one target that are admitted
   before their flush runs share one :class:`~repro.service.queries.QueryBatch`
@@ -35,9 +35,17 @@ Shutdown is graceful: :meth:`ServingDaemon.stop` stops accepting, flushes
 every pending query immediately, waits for the replies to drain and only
 then closes connections.
 
+Intake is per read, not per line: the read loop takes what the socket has
+buffered (at most :data:`MAX_LINE_BYTES`), splits it into lines, and parses
+and validates each well-formed query inline, appending its id, kind code,
+start and end to its target's pending columns; no ``QueryRequest`` is built
+on that path.  Any other line takes the per-line path (:meth:`_dispatch`),
+which owns every error and control reply.  A connection's admitted queries
+are answered before the daemon closes it, at EOF or on an oversized line.
+
 Flushes and replies run synchronously on the event loop, which keeps batch
 composition deterministic under test.  The read loop awaits ``drain()``
-after each request, so a client that stops reading stalls only itself.
+once per read, so a client that stops reading stalls only itself.
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ from ..telemetry import (
 )
 from .engine import BatchQueryEngine
 from .protocol import (
+    _REQUEST_FIELDS,
+    MIN_PROTOCOL_VERSION,
     OP_INFO,
     OP_METRICS,
     OP_PING,
@@ -78,6 +88,7 @@ from .protocol import (
     STATUS_UNAVAILABLE,
     WIRE_OPS,
     QueryRequest,
+    RequestId,
     encode_responses,
     error_response,
     parse_request_line,
@@ -85,7 +96,7 @@ from .protocol import (
     # Not called here: perfbench's per-layer timers wrap this module attribute.
     responses_for,  # noqa: F401
 )
-from .queries import QueryBatch
+from .queries import _KIND_CODES, POINT, QueryBatch
 from .store import SynopsisStore, fingerprint_data
 
 __all__ = ["DaemonConfig", "ServingDaemon", "ServingStats", "DEFAULT_PORT"]
@@ -93,9 +104,41 @@ __all__ = ["DaemonConfig", "ServingDaemon", "ServingStats", "DEFAULT_PORT"]
 #: Default TCP port for ``repro-synopses serve`` (any free port via 0).
 DEFAULT_PORT = 7209
 
-#: Longest request line the daemon reads (asyncio's default stream limit).
-#: A longer line is answered with an ``error`` and its connection closed.
+#: Longest request line the daemon reads (asyncio's default stream limit),
+#: and the most one read takes in.  A longer line is answered with an
+#: ``error`` and its connection closed.
 MAX_LINE_BYTES = 64 * 1024
+
+_QUERY_FIELDS = frozenset(_REQUEST_FIELDS)
+
+
+def _query_fields(payload: Any) -> Optional[Tuple[RequestId, int, int, int, Optional[str]]]:
+    """``(id, kind code, start, end, target)`` of a well-formed query, else ``None``.
+
+    Accepts exactly the parsed lines without an ``op`` key that
+    ``QueryRequest.from_dict`` accepts.  Exact-type checks suffice, and they
+    exclude bools: JSON produces only exact ``dict``, ``int`` and ``str``
+    values.  Everything else takes the per-line path, which owns every error
+    reply and its text.
+    """
+    if type(payload) is not dict or "op" in payload or not payload.keys() <= _QUERY_FIELDS:
+        return None
+    version = payload.get("version")
+    request_id = payload.get("id")
+    kind = payload.get("kind")
+    start = payload.get("start")
+    end = payload.get("end")
+    target = payload.get("target")
+    if (
+        type(version) is int and MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION
+        and (type(request_id) is int or type(request_id) is str)
+        and type(kind) is str and kind in _KIND_CODES
+        and type(start) is int and type(end) is int and 0 <= start <= end
+        and (start == end or kind != POINT)
+        and (target is None or type(target) is str)
+    ):
+        return request_id, _KIND_CODES[kind], start, end, target
+    return None
 
 
 @dataclass(frozen=True)
@@ -220,6 +263,23 @@ class _Connection:
         self.send(error_response(request_id, detail, status=status).to_dict())
 
 
+class _PendingQueries:
+    """One target's admitted queries as columns, in admission order.
+
+    ``payloads`` holds each query's parsed line for the slow-query record.
+    """
+
+    __slots__ = ("ids", "kinds", "starts", "ends", "connections", "payloads")
+
+    def __init__(self) -> None:
+        self.ids: List[RequestId] = []
+        self.kinds: List[int] = []
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.connections: List[_Connection] = []
+        self.payloads: List[Dict[str, Any]] = []
+
+
 class ServingDaemon:
     """The asyncio synopsis-serving daemon (see the module docstring).
 
@@ -316,7 +376,7 @@ class ServingDaemon:
         self._engines: "OrderedDict[str, BatchQueryEngine]" = OrderedDict()
         self._errors: Dict[str, np.ndarray] = {}
         self._domain_sizes: Dict[str, int] = {}
-        self._pending: Dict[str, List[Tuple[QueryRequest, _Connection]]] = {}
+        self._pending: Dict[str, _PendingQueries] = {}
         self._pending_total = 0
         self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
         self._stop_task: Optional["asyncio.Task[None]"] = None
@@ -505,12 +565,9 @@ class ServingDaemon:
             self._log, logging.INFO, "daemon.drain",
             pending=self._pending_total, connections=len(self._connections),
         )
-        for handle in self._flush_handles.values():
-            handle.cancel()
-        self._flush_handles.clear()
         drained = self._pending_total
         for name in list(self._pending):
-            self._flush(name)
+            self._flush_now(name)
         self.stats.drained_queries += drained
         connections = list(self._connections)
         drains = asyncio.gather(
@@ -549,33 +606,50 @@ class ServingDaemon:
         if task is not None:
             self._handler_tasks.add(task)
             task.add_done_callback(self._handler_tasks.discard)
+        # The line begun but not yet ended, one piece per read: it is joined
+        # once, when it ends, so a line trickled in over many reads costs time
+        # linear in its length.
+        pieces: List[bytes] = []
+        held = 0
         try:
             while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    line = exc.partial  # EOF; empty unless the last line is unterminated
-                except asyncio.LimitOverrunError:
+                chunk = await reader.read(MAX_LINE_BYTES)
+                if not chunk:
+                    # EOF: an unterminated last line is still a request.
+                    self._take_in([b"".join(pieces)], connection)
+                    break
+                pieces.append(chunk)
+                held += len(chunk)
+                lines: List[bytes] = []
+                if b"\n" in chunk:
+                    *lines, last = b"".join(pieces).split(b"\n")
+                    pieces = [last] if last else []
+                    held = len(last)
+                # Only a line begun in an earlier read can be longer than one read.
+                if (len(lines[0]) if lines else held) > MAX_LINE_BYTES:
                     # Answer once and hang up.  Reading to the end of the line
                     # first makes the close a FIN: closing with unread input
                     # would reset the connection and could lose the answer.
                     self.stats.requests += 1
                     self.stats.protocol_errors += 1
                     connection.reject(None, f"request line exceeds {MAX_LINE_BYTES} bytes")
-                    while (chunk := await reader.read(MAX_LINE_BYTES)) and b"\n" not in chunk:
-                        pass
+                    if not lines:
+                        while (chunk := await reader.read(MAX_LINE_BYTES)) and b"\n" not in chunk:
+                            pass
                     break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                self.stats.requests += 1
-                self._dispatch(line, connection)
-                # Returns at once unless this client's unread replies are over
-                # the transport's high-water mark: then the client is not read
-                # until it catches up, and other connections are unaffected.
-                await writer.drain()
+                if lines:
+                    self._take_in(lines, connection)
+                    # Returns at once unless this client's unread replies are
+                    # over the transport's high-water mark: then the client is
+                    # not read until it catches up, and other connections are
+                    # unaffected.
+                    await writer.drain()
+            # A closed transport drops writes, so answer what this client has
+            # in flight before hanging up rather than at its scheduled flush.
+            for target in [name for name, pending in self._pending.items()
+                           if connection in pending.connections]:
+                self._flush_now(target)
+            await writer.drain()
         except ConnectionError:
             pass
         finally:
@@ -583,6 +657,41 @@ class ServingDaemon:
             writer.close()
             with contextlib.suppress(ConnectionError):
                 await writer.wait_closed()
+
+    def _take_in(self, lines: List[bytes], connection: _Connection) -> None:
+        """Admit one read's lines, in order.
+
+        A well-formed query is parsed, validated and admitted inline; any
+        other line goes down the per-line path.  The query counter and the
+        pending gauge are published once per read, and also before each
+        per-line dispatch, so a ``metrics`` or ``stats`` reply within a read
+        counts every query ahead of it.
+        """
+        stats = self.stats
+        queries = 0
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            stats.requests += 1
+            try:
+                payload = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+                payload = None
+            fields = _query_fields(payload)
+            if fields is None:
+                self._publish_intake(queries)
+                queries = 0
+                self._dispatch(line, connection)
+            else:
+                queries += 1
+                self._admit(connection, *fields, payload)
+        self._publish_intake(queries)
+
+    def _publish_intake(self, queries: int) -> None:
+        if queries:
+            self._m_requests[OP_QUERY].inc(queries)
+        self._m_pending.set(self._pending_total)
 
     def _dispatch(self, line: bytes, connection: _Connection) -> None:
         try:
@@ -641,42 +750,46 @@ class ServingDaemon:
                 self.stats.protocol_errors += 1
             connection.reject(payload.get("id"), str(exc))
             return
+        self._admit(connection, request.id, _KIND_CODES[request.kind], request.start,
+                    request.end, request.target, payload)
 
-        target = request.target or self._default_target
+    def _admit(self, connection: _Connection, request_id: RequestId, kind: int, start: int,
+               end: int, target: Optional[str], payload: Dict[str, Any]) -> None:
+        """Check one valid query's target, range and admission; enqueue or reject it."""
+        target = target or self._default_target
         if target not in self._targets:
             self.stats.invalid_queries += 1
-            connection.reject(request.id, f"unknown target {target!r}")
+            connection.reject(request_id, f"unknown target {target!r}")
             return
         domain_size = self._domain_sizes.get(target)
-        if domain_size is not None and request.end >= domain_size:
+        if domain_size is not None and end >= domain_size:
             # Validated per query at admission so one bad range can never
             # poison the coalesced batch it would have joined.
             self.stats.invalid_queries += 1
             connection.reject(
-                request.id,
-                f"query touches item {request.end} but target {target!r} covers "
-                f"[0, {domain_size})",
+                request_id,
+                f"query touches item {end} but target {target!r} covers [0, {domain_size})",
             )
             return
 
         # Admission control: explicit overloaded responses, never unbounded
         # queues.  Checked before enqueueing so rejections are immediate.
         if self._draining:
-            self._reject_overloaded(connection, request.id, "draining",
+            self._reject_overloaded(connection, request_id, "draining",
                                     "daemon is draining for shutdown")
         elif connection.inflight >= self._config.max_inflight_per_client:
             self._reject_overloaded(
-                connection, request.id, "inflight",
+                connection, request_id, "inflight",
                 f"client in-flight cap reached ({self._config.max_inflight_per_client})",
             )
         elif self._pending_total >= self._config.max_pending:
             self._reject_overloaded(
-                connection, request.id, "pending",
+                connection, request_id, "pending",
                 f"server pending queue is full ({self._config.max_pending})",
             )
         else:
             connection.inflight += 1
-            self._enqueue(target, request, connection)
+            self._enqueue(target, request_id, kind, start, end, connection, payload)
 
     def _reject_overloaded(self, connection: _Connection, request_id: Any, reason: str,
                            detail: str) -> None:
@@ -700,27 +813,34 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     # The coalescer
     # ------------------------------------------------------------------
-    def _enqueue(self, target: str, request: QueryRequest, connection: _Connection) -> None:
-        bucket = self._pending.setdefault(target, [])
-        bucket.append((request, connection))
+    def _enqueue(self, target: str, request_id: RequestId, kind: int, start: int, end: int,
+                 connection: _Connection, payload: Dict[str, Any]) -> None:
+        pending = self._pending.get(target)
+        if pending is None:
+            pending = self._pending[target] = _PendingQueries()
+        pending.ids.append(request_id)
+        pending.kinds.append(kind)
+        pending.starts.append(start)
+        pending.ends.append(end)
+        pending.connections.append(connection)
+        pending.payloads.append(payload)
         self._pending_total += 1
-        self._m_pending.set(self._pending_total)
-        if len(bucket) >= self._config.max_batch:
-            handle = self._flush_handles.pop(target, None)
-            if handle is not None:
-                handle.cancel()
-            self._flush(target)
+        if len(pending.ids) >= self._config.max_batch:
+            self._flush_now(target)
         elif target not in self._flush_handles:
             # The first query of a batch schedules its flush; every query
             # admitted before it runs rides the same engine call.  With a
             # zero window that is every line read in this loop turn.
             loop = asyncio.get_running_loop()
             self._flush_handles[target] = loop.call_later(
-                self._config.window_ms / 1000.0, self._flush_window, target
+                self._config.window_ms / 1000.0, self._flush_now, target
             )
 
-    def _flush_window(self, target: str) -> None:
-        self._flush_handles.pop(target, None)
+    def _flush_now(self, target: str) -> None:
+        """Flush ``target``, cancelling its scheduled flush (a no-op from the timer itself)."""
+        handle = self._flush_handles.pop(target, None)
+        if handle is not None:
+            handle.cancel()
         self._flush(target)
 
     def _flush(self, target: str) -> None:
@@ -732,12 +852,12 @@ class ServingDaemon:
         converted into per-query error responses — the daemon never crashes
         a connection over one bad batch.
         """
-        pending = self._pending.pop(target, [])
-        if not pending:
+        pending = self._pending.pop(target, None)
+        if pending is None:
             return
-        self._pending_total -= len(pending)
+        size = len(pending.ids)
+        self._pending_total -= size
         self._m_pending.set(self._pending_total)
-        requests = [request for request, _ in pending]
         trace_flush = self._config.slow_query_ms is not None
         started = time.perf_counter()
         if trace_flush:
@@ -745,81 +865,82 @@ class ServingDaemon:
             # telemetry flag) so a slow flush can be logged with full
             # per-stage forensics; detach so the tree roots at this flush.
             with capture_spans(detach=True) as flush_spans:
-                lines, rung = self._answer_pending(target, requests)
+                lines, rung = self._answer_pending(target, pending)
         else:
             flush_spans = []
-            lines, rung = self._answer_pending(target, requests)
+            lines, rung = self._answer_pending(target, pending)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._m_flush_ms.observe(elapsed_ms)
         if trace_flush and elapsed_ms >= float(self._config.slow_query_ms or 0.0):
             self._m_slow.inc()
             log_event(
                 self._slow_log, logging.WARNING, "daemon.slow_query",
-                target=target, batch=len(requests), rung=rung,
+                target=target, batch=size, rung=rung,
                 wall_ms=round(elapsed_ms, 4),
                 threshold_ms=self._config.slow_query_ms,
                 window_ms=self._config.window_ms,
-                queries=[request.to_dict() for request in requests[:8]],
+                queries=[QueryRequest.from_dict(payload).to_dict()
+                         for payload in pending.payloads[:8]],
                 spans=[record.to_dict() for record in flush_spans],
             )
         replies: Dict[_Connection, List[bytes]] = {}
-        for (_, connection), line in zip(pending, lines):
+        for connection, line in zip(pending.connections, lines):
             connection.inflight -= 1
             replies.setdefault(connection, []).append(line)
         for connection, chunks in replies.items():
             connection.write(b"".join(chunks))
 
-    def _answer_pending(
-        self, target: str, requests: List[QueryRequest]
-    ) -> Tuple[List[bytes], str]:
+    def _answer_pending(self, target: str, pending: _PendingQueries) -> Tuple[List[bytes], str]:
         """Resolve and answer one coalesced batch; never raises.
 
         Returns the per-query wire lines plus the degradation-ladder rung the
         engine came from (``"error"`` when the batch failed internally).
         """
+        ids = pending.ids
+        size = len(ids)
         rung = "error"
-        with span("daemon.flush", target=target, batch=len(requests)) as trace:
+        with span("daemon.flush", target=target, batch=size) as trace:
             try:
                 with span("daemon.resolve_engine", target=target):
                     engine, rung = self._resolve_engine(target)
                 if engine is None:
-                    self.stats.unavailable += len(requests)
+                    self.stats.unavailable += size
                     lines = _error_lines(
-                        requests,
+                        ids,
                         f"target {target!r} is not materialised and build_on_miss "
                         "is disabled",
                         STATUS_UNAVAILABLE,
                     )
                 else:
-                    with span("daemon.answer", batch=len(requests)):
-                        batch = QueryBatch.from_requests(requests)
+                    with span("daemon.answer", batch=size):
+                        batch = QueryBatch(pending.kinds, pending.starts, pending.ends)
                         answers = engine.answer(batch)
                         errors = (
                             engine.attribute_errors(batch)
                             if engine.has_error_attribution
                             else None
                         )
-                        lines = encode_responses(requests, answers, errors)
+                        lines = encode_responses(ids, answers, errors)
                     self.stats.engine_batches += 1
-                    self.stats.queries_answered += len(requests)
+                    self.stats.queries_answered += size
                     self._m_batches.inc()
-                    self._m_queries.inc(len(requests))
-                    self._m_batch_size.observe(len(requests))
-                    self.stats.largest_batch = max(self.stats.largest_batch, len(requests))
-                    if len(requests) > 1:
-                        self.stats.coalesced_queries += len(requests)
+                    self._m_queries.inc(size)
+                    self._m_batch_size.observe(size)
+                    self.stats.largest_batch = max(self.stats.largest_batch, size)
+                    if size > 1:
+                        self.stats.coalesced_queries += size
             except Exception as exc:  # noqa: BLE001 - the daemon must not die
-                self.stats.internal_errors += len(requests)
+                self.stats.internal_errors += size
                 lines = _error_lines(
-                    requests, f"internal error answering batch: {exc}", STATUS_ERROR
+                    ids, f"internal error answering batch: {exc}", STATUS_ERROR
                 )
             trace.set(rung=rung)
         return lines, rung
 
 
-def _error_lines(requests: List[QueryRequest], detail: str, status: str) -> List[bytes]:
-    """The same rejection as one wire line per request."""
+def _error_lines(ids: List[RequestId], detail: str, status: str) -> List[bytes]:
+    """The same rejection as one wire line per query id."""
     return [
-        (error_response(request.id, detail, status=status).to_json() + "\n").encode("utf-8")
-        for request in requests
+        (error_response(request_id, detail, status=status).to_json() + "\n").encode("utf-8")
+        for request_id in ids
     ]

@@ -95,6 +95,13 @@ class TestQueryRequest:
         with pytest.raises(ProtocolError, match="UTF-8"):
             parse_request_line(b"\xff\xfe")
 
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"id": ' + "7" * 5000 + "}"],
+                             ids=["nested", "long-integer"])
+    def test_lines_past_the_parser_limits_are_protocol_errors(self, line):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            parse_request_line(line)
+        assert request_id_of(line) is None
+
     def test_request_id_of_is_best_effort(self):
         assert request_id_of(QueryRequest.point("q7", 1).to_json()) == "q7"
         assert request_id_of("{broken") is None
@@ -247,7 +254,7 @@ _WIRE_IDS = st.one_of(
 def test_encode_responses_is_byte_identical_to_to_json(rows, with_errors):
     """The daemon's batch encoder writes exactly the lines ``to_json`` writes,
     non-finite floats (``NaN``, ``Infinity``) and signed zeros included."""
-    requests = [QueryRequest.point(request_id, 0) for request_id, _, _ in rows]
+    ids = [request_id for request_id, _, _ in rows]
     answers = np.array([answer for _, answer, _ in rows], dtype=float)
     errors = np.array([error for _, _, error in rows], dtype=float) if with_errors else None
     expected = "".join(
@@ -256,7 +263,7 @@ def test_encode_responses_is_byte_identical_to_to_json(rows, with_errors):
         ).to_json() + "\n"
         for request_id, answer, error in rows
     ).encode()
-    lines = encode_responses(requests, answers, errors)
+    lines = encode_responses(ids, answers, errors)
     assert len(lines) == len(rows)
     assert all(line.endswith(b"\n") and line.count(b"\n") == 1 for line in lines)
     assert b"".join(lines) == expected
