@@ -122,9 +122,9 @@ def bench_serving(name, synopsis, model, metric, batch):
         "answers_match_serial": True,
         "chunked_replay": {
             "chunk_size": report["chunk_size"],
-            "throughput_qps": round(report["throughput_qps"], 1),
+            "throughput_qps": round(report["qps"], 1),
             "chunk_latency_ms": {
-                k: round(v, 4) for k, v in report["chunk_latency_ms"].items()
+                k: round(report["latency_ms"][k], 4) for k in ("p50", "p95", "max")
             },
         },
     }

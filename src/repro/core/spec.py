@@ -105,8 +105,7 @@ def canonical_store_key(
 
     This is the single definition of the on-disk key format:
     ``sha256`` of the compact sorted JSON of ``{"data", "config"[, "workload"]}``.
-    Both :meth:`SynopsisSpec.store_key` and the legacy dict-based
-    ``SynopsisStore.key_for`` are thin callers of this function.
+    :meth:`SynopsisSpec.store_key` is a thin caller of this function.
     """
     payload: Dict[str, Any] = {"data": fingerprint, "config": dict(config)}
     if workload_digest is not None:

@@ -38,16 +38,10 @@ __all__ = ["BatchQueryEngine", "answer_batch", "answer_serial"]
 
 _RANGE_AVG_CODE = QUERY_KINDS.index("range_avg")
 
-# Hot-path instruments, registered once at import.  ``answer`` guards all of
-# them behind a single ``_TELEMETRY.enabled`` attribute check so the serving
-# fast path pays nothing measurable when telemetry is off (asserted ≤1% by
-# tests/test_telemetry.py).
-_ENGINE_BATCHES = registry().counter(
-    "repro_engine_batches_total", "Query batches answered by BatchQueryEngine"
-)
-_ENGINE_QUERIES = registry().counter(
-    "repro_engine_queries_total", "Individual queries answered by BatchQueryEngine"
-)
+# The answer stage's latency, registered once at import.  ``answer`` measures
+# it only behind a single ``_TELEMETRY.enabled`` attribute check, so the
+# serving fast path pays nothing measurable when telemetry is off (asserted
+# ≤1% by tests/test_telemetry.py).  Batch and query counts are the daemon's.
 _ENGINE_LATENCY = registry().histogram(
     "repro_engine_batch_latency_ms", "Wall time of one vectorised batch answer"
 )
@@ -207,8 +201,6 @@ class BatchQueryEngine:
             answers = answers.astype(float, copy=True)
             answers[averages] /= batch.widths[averages]
         if started is not None:
-            _ENGINE_BATCHES.inc()
-            _ENGINE_QUERIES.inc(len(batch))
             _ENGINE_LATENCY.observe((time.perf_counter() - started) * 1000.0)
         return answers
 

@@ -260,8 +260,6 @@ async def _run_level(
         "loadgen_latency_ms",
         "Client-observed round-trip latency",
         buckets=LATENCY_BUCKETS_MS,
-        gated=False,
-        window=max(1, len(latencies_ms)),
     )
     for value in latencies_ms:
         histogram.observe(value)

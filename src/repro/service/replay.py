@@ -159,20 +159,15 @@ def replay(
     batch_seconds = time.perf_counter() - total_start
     latencies_ms = 1000.0 * np.asarray(chunk_latencies if chunk_latencies else [0.0])
     qps = len(batch) / batch_seconds if batch_seconds > 0 else float("inf")
-    summary = latency_summary(latencies_ms.tolist())
     report: Dict[str, Union[int, float, Dict, None]] = {
         "queries": len(batch),
         "kind_counts": batch.kind_counts(),
         "chunk_size": int(chunk_size),
         "batch_seconds": batch_seconds,
-        "throughput_qps": qps,
         # The structured serving-report shape shared with the load generator
         # and the wire layer (protocol.latency_summary): qps + latency_ms.
         "qps": qps,
-        "latency_ms": summary,
-        # Back-compatible alias kept for existing report consumers.
-        "chunk_latency_ms": {"p50": summary["p50"], "p95": summary["p95"],
-                             "max": summary["max"]},
+        "latency_ms": latency_summary(latencies_ms.tolist()),
     }
     if generated:
         report["seed"] = seed

@@ -46,6 +46,10 @@ are answered before the daemon closes it, at EOF or on an oversized line.
 Flushes and replies run synchronously on the event loop, which keeps batch
 composition deterministic under test.  The read loop awaits ``drain()``
 once per read, so a client that stops reading stalls only itself.
+
+Each event is counted once, in the daemon's own registry
+(:attr:`ServingDaemon.metrics`): the ``metrics`` op renders it, and the
+``stats`` op and :attr:`ServingDaemon.stats` are a view of it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,9 @@ from ..core.spec import SynopsisSpec
 from ..exceptions import ProtocolError, SynopsisError, VersionMismatchError
 from .. import telemetry
 from ..telemetry import (
+    Counter,
+    Gauge,
+    MetricsRegistry,
     RateLimiter,
     capture_spans,
     get_logger,
@@ -110,6 +117,32 @@ DEFAULT_PORT = 7209
 MAX_LINE_BYTES = 64 * 1024
 
 _QUERY_FIELDS = frozenset(_REQUEST_FIELDS)
+
+#: The ``repro_daemon_requests_total`` child counting lines that name no known
+#: op: unparseable, an unknown op, or oversized.
+_INVALID_OP = "invalid"
+
+#: The daemon family each ``stats`` key reads and, for a labelled family, the
+#: one child it reads (``None`` sums every child).
+_STATS_SOURCES: Dict[str, Tuple[str, Optional[str]]] = {
+    "connections": ("repro_daemon_connections_total", None),
+    "requests": ("repro_daemon_requests_total", None),
+    "queries_answered": ("repro_daemon_queries_answered_total", None),
+    "engine_batches": ("repro_daemon_engine_batches_total", None),
+    "coalesced_queries": ("repro_daemon_coalesced_queries_total", None),
+    "largest_batch": ("repro_daemon_largest_batch", None),
+    "overloaded": ("repro_daemon_admission_rejections_total", None),
+    "unavailable": ("repro_daemon_errors_total", "unavailable"),
+    "protocol_errors": ("repro_daemon_errors_total", "protocol"),
+    "version_rejections": ("repro_daemon_errors_total", "version"),
+    "invalid_queries": ("repro_daemon_errors_total", "invalid_query"),
+    "internal_errors": ("repro_daemon_errors_total", "internal"),
+    "engine_cache_hits": ("repro_daemon_ladder_total", "hot"),
+    "engine_store_resolutions": ("repro_daemon_ladder_total", "store"),
+    "engine_builds": ("repro_daemon_ladder_total", "build"),
+    "engine_evictions": ("repro_daemon_engine_evictions_total", None),
+    "drained_queries": ("repro_daemon_drained_queries_total", None),
+}
 
 
 def _query_fields(payload: Any) -> Optional[Tuple[RequestId, int, int, int, Optional[str]]]:
@@ -184,58 +217,36 @@ class DaemonConfig:
             raise SynopsisError("slow_query_ms must be non-negative (or None to disable)")
 
 
-@dataclass
 class ServingStats:
-    """Counters describing what the daemon has served (the ``stats`` op).
+    """What the daemon has served (the ``stats`` op): a read-only view.
 
-    ``engine_batches`` vs. ``queries_answered`` is the coalescing story:
-    their ratio is the average batch the engine amortised one evaluation
-    over.  ``overloaded`` / ``unavailable`` count explicit rejections
-    (admission control and the degradation-ladder bottom respectively), and
-    the ``engine_*`` counters break down which rung of the ladder resolved
-    each engine lookup.
+    Each key is an attribute that reads one instrument of the daemon's
+    registry (see :data:`_STATS_SOURCES`), so ``stats`` and ``metrics`` agree
+    by construction.  ``engine_batches`` vs. ``queries_answered`` is the
+    coalescing story: their ratio is the average batch the engine amortised
+    one evaluation over.  ``overloaded`` / ``unavailable`` count explicit
+    rejections (admission control and the degradation-ladder bottom
+    respectively), and the ``engine_*`` counters break down which rung of the
+    ladder resolved each engine lookup.
     """
 
-    connections: int = 0
-    requests: int = 0
-    queries_answered: int = 0
-    engine_batches: int = 0
-    coalesced_queries: int = 0
-    largest_batch: int = 0
-    overloaded: int = 0
-    unavailable: int = 0
-    protocol_errors: int = 0
-    version_rejections: int = 0
-    invalid_queries: int = 0
-    internal_errors: int = 0
-    engine_cache_hits: int = 0
-    engine_store_resolutions: int = 0
-    engine_builds: int = 0
-    engine_evictions: int = 0
-    drained_queries: int = 0
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+
+    def __getattr__(self, key: str) -> int:
+        if key not in _STATS_SOURCES:
+            raise AttributeError(f"{type(self).__name__!r} has no attribute {key!r}")
+        name, label = _STATS_SOURCES[key]
+        family = self._registry.get(name)
+        assert isinstance(family, (Counter, Gauge))
+        return int(sum(child.value for labels, child in family.samples()
+                       if label is None or label in labels.values()))
 
     def as_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "connections": self.connections,
-            "requests": self.requests,
-            "queries_answered": self.queries_answered,
-            "engine_batches": self.engine_batches,
-            "coalesced_queries": self.coalesced_queries,
-            "largest_batch": self.largest_batch,
-            "overloaded": self.overloaded,
-            "unavailable": self.unavailable,
-            "protocol_errors": self.protocol_errors,
-            "version_rejections": self.version_rejections,
-            "invalid_queries": self.invalid_queries,
-            "internal_errors": self.internal_errors,
-            "engine_cache_hits": self.engine_cache_hits,
-            "engine_store_resolutions": self.engine_store_resolutions,
-            "engine_builds": self.engine_builds,
-            "engine_evictions": self.engine_evictions,
-            "drained_queries": self.drained_queries,
-        }
+        payload: Dict[str, Any] = {key: getattr(self, key) for key in _STATS_SOURCES}
+        batches = payload["engine_batches"]
         payload["coalescing_factor"] = (
-            self.queries_answered / self.engine_batches if self.engine_batches else None
+            payload["queries_answered"] / batches if batches else None
         )
         return payload
 
@@ -321,26 +332,31 @@ class ServingDaemon:
             raise SynopsisError(f"default target {self._default_target!r} is not a target")
         self._config = config or DaemonConfig()
         self._fingerprint = fingerprint_data(data)
-        self.stats = ServingStats()
-        # Telemetry: the daemon's instruments live in the process-wide gated
-        # registry (start() enables recording); the store's ungated registry
-        # rides along so one `metrics` scrape covers both.  ServingStats
-        # stays the authoritative per-daemon view for the `stats` op; the
-        # instruments are the cumulative process-wide exposition.
-        reg = telemetry.registry()
+        # Every daemon event is counted once, here.  Labelled children are
+        # resolved up front so no hot path calls labels().
+        self.metrics = reg = MetricsRegistry()
+        self.stats = ServingStats(reg)
         self._m_connections = reg.counter(
             "repro_daemon_connections_total", "TCP connections accepted"
         )
         requests = reg.counter(
-            "repro_daemon_requests_total", "Wire requests dispatched, by op",
+            "repro_daemon_requests_total",
+            "Wire requests dispatched, by op (invalid: lines naming no known op)",
             labelnames=("op",),
         )
-        self._m_requests = {op: requests.labels(op=op) for op in WIRE_OPS}
+        self._m_requests = {op: requests.labels(op=op) for op in (*WIRE_OPS, _INVALID_OP)}
         self._m_queries = reg.counter(
             "repro_daemon_queries_answered_total", "Queries answered with status ok"
         )
         self._m_batches = reg.counter(
             "repro_daemon_engine_batches_total", "Coalesced engine flushes executed"
+        )
+        self._m_coalesced = reg.counter(
+            "repro_daemon_coalesced_queries_total",
+            "Queries answered in an engine flush of more than one query",
+        )
+        self._m_largest_batch = reg.gauge(
+            "repro_daemon_largest_batch", "Most queries answered by one engine flush"
         )
         self._m_batch_size = reg.histogram(
             "repro_daemon_batch_size",
@@ -350,16 +366,30 @@ class ServingDaemon:
         self._m_flush_ms = reg.histogram(
             "repro_daemon_flush_latency_ms", "Wall time of one coalesced flush"
         )
-        self._m_rejections = reg.counter(
+        rejections = reg.counter(
             "repro_daemon_admission_rejections_total",
             "Queries rejected by admission control, by reason",
             labelnames=("reason",),
         )
-        self._m_ladder = reg.counter(
+        self._m_rejections = {reason: rejections.labels(reason=reason)
+                              for reason in ("draining", "inflight", "pending")}
+        ladder = reg.counter(
             "repro_daemon_ladder_total",
             "Engine resolutions by degradation-ladder rung",
             labelnames=("rung",),
         )
+        self._m_ladder = {rung: ladder.labels(rung=rung)
+                          for rung in ("hot", "store", "build", "unavailable")}
+        errors = reg.counter(
+            "repro_daemon_errors_total",
+            "Requests answered with an error, by cause (internal and unavailable "
+            "count queries)",
+            labelnames=("cause",),
+        )
+        self._m_errors = {
+            cause: errors.labels(cause=cause)
+            for cause in ("protocol", "version", "invalid_query", "internal", "unavailable")
+        }
         self._m_evictions = reg.counter(
             "repro_daemon_engine_evictions_total", "Hot engines evicted by the LRU cap"
         )
@@ -369,6 +399,10 @@ class ServingDaemon:
         self._m_slow = reg.counter(
             "repro_daemon_slow_queries_total",
             "Flushes at or above the slow_query_ms threshold",
+        )
+        self._m_drained = reg.counter(
+            "repro_daemon_drained_queries_total",
+            "Pending queries flushed at once by a graceful shutdown",
         )
         self._log = get_logger("daemon")
         self._slow_log = get_logger("daemon.slow_query")
@@ -465,7 +499,6 @@ class ServingDaemon:
         self._engines.move_to_end(name)
         while len(self._engines) > self._config.max_engines:
             evicted, _ = self._engines.popitem(last=False)
-            self.stats.engine_evictions += 1
             self._m_evictions.inc()
             log_event(
                 self._log, logging.INFO, "daemon.engine_evicted",
@@ -484,24 +517,21 @@ class ServingDaemon:
         engine = self._engines.get(name)
         if engine is not None:
             self._engines.move_to_end(name)
-            self.stats.engine_cache_hits += 1
-            self._m_ladder.labels(rung="hot").inc()
+            self._m_ladder["hot"].inc()
             return engine, "hot"
         spec = self._targets[name]
         synopsis = self._store.get(spec.store_key(self._fingerprint))
         if synopsis is not None:
-            self.stats.engine_store_resolutions += 1
             rung = "store"
         elif self._config.build_on_miss:
             synopsis = self._store.get_or_build(
                 self._data, spec, fingerprint=self._fingerprint
             )
-            self.stats.engine_builds += 1
             rung = "build"
         else:
-            self._m_ladder.labels(rung="unavailable").inc()
+            self._m_ladder["unavailable"].inc()
             return None, "unavailable"
-        self._m_ladder.labels(rung=rung).inc()
+        self._m_ladder[rung].inc()
         engine = BatchQueryEngine(
             synopsis, per_item_errors=self._errors.get(name), metric=spec.metric
         )
@@ -519,8 +549,9 @@ class ServingDaemon:
         """
         if self._server is not None:
             raise SynopsisError("the daemon is already listening")
-        # A listening daemon is the canonical telemetry producer: turn the
-        # gated instruments on so the `metrics` op has data to expose.
+        # A listening daemon is the canonical telemetry producer: turn span
+        # and engine-latency recording on so its builds and flushes reach the
+        # process-wide families of the `metrics` op.
         telemetry.enable()
         self.warm()
         self._stopped = asyncio.Event()
@@ -568,7 +599,7 @@ class ServingDaemon:
         drained = self._pending_total
         for name in list(self._pending):
             self._flush_now(name)
-        self.stats.drained_queries += drained
+        self._m_drained.inc(drained)
         connections = list(self._connections)
         drains = asyncio.gather(
             *(connection.writer.drain() for connection in connections), return_exceptions=True
@@ -598,7 +629,6 @@ class ServingDaemon:
     # ------------------------------------------------------------------
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        self.stats.connections += 1
         self._m_connections.inc()
         connection = _Connection(writer=writer)
         self._connections.add(connection)
@@ -630,9 +660,9 @@ class ServingDaemon:
                     # Answer once and hang up.  Reading to the end of the line
                     # first makes the close a FIN: closing with unread input
                     # would reset the connection and could lose the answer.
-                    self.stats.requests += 1
-                    self.stats.protocol_errors += 1
-                    connection.reject(None, f"request line exceeds {MAX_LINE_BYTES} bytes")
+                    self._reject_invalid(
+                        connection, None, f"request line exceeds {MAX_LINE_BYTES} bytes"
+                    )
                     if not lines:
                         while (chunk := await reader.read(MAX_LINE_BYTES)) and b"\n" not in chunk:
                             pass
@@ -667,13 +697,11 @@ class ServingDaemon:
         per-line dispatch, so a ``metrics`` or ``stats`` reply within a read
         counts every query ahead of it.
         """
-        stats = self.stats
         queries = 0
         for line in lines:
             line = line.strip()
             if not line:
                 continue
-            stats.requests += 1
             try:
                 payload = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
@@ -697,12 +725,13 @@ class ServingDaemon:
         try:
             payload = parse_request_line(line)
         except ProtocolError as exc:
-            self.stats.protocol_errors += 1
-            connection.reject(request_id_of(line), str(exc))
+            self._reject_invalid(connection, request_id_of(line), str(exc))
             return
         op = payload.pop("op", OP_QUERY)
-        if op in WIRE_OPS:
-            self._m_requests[op].inc()
+        if op not in WIRE_OPS:
+            self._reject_invalid(connection, payload.get("id"), f"unknown op {op!r}")
+            return
+        self._m_requests[op].inc()
         if op == OP_QUERY:
             self._dispatch_query(payload, connection)
         elif op == OP_PING:
@@ -717,17 +746,19 @@ class ServingDaemon:
                 "store": self._store.stats.as_dict(),
             })
         elif op == OP_METRICS:
-            # One scrape covers the process-wide gated registry (daemon,
-            # engine, span families) and the store's ungated counters.
+            # One scrape covers this daemon's families, the process-wide
+            # engine and span families, and the store's counters.
             connection.send({
                 "op": OP_METRICS,
                 "version": PROTOCOL_VERSION,
                 "content_type": telemetry.CONTENT_TYPE,
-                "body": render_prometheus([telemetry.registry(), self._store.metrics]),
+                "body": render_prometheus(
+                    [self.metrics, telemetry.registry(), self._store.metrics]
+                ),
             })
         elif op == OP_SHUTDOWN:
             if not self._config.allow_remote_shutdown:
-                self.stats.protocol_errors += 1
+                self._m_errors["protocol"].inc()
                 connection.reject(
                     payload.get("id"), "remote shutdown is disabled on this daemon"
                 )
@@ -736,18 +767,19 @@ class ServingDaemon:
                              "status": "draining"})
             if self._stop_task is None:
                 self._stop_task = asyncio.ensure_future(self.stop())
-        else:
-            self.stats.protocol_errors += 1
-            connection.reject(payload.get("id"), f"unknown op {op!r}")
+
+    def _reject_invalid(self, connection: _Connection, request_id: Any, detail: str) -> None:
+        """Answer and count one line that names no known op."""
+        self._m_requests[_INVALID_OP].inc()
+        self._m_errors["protocol"].inc()
+        connection.reject(request_id, detail)
 
     def _dispatch_query(self, payload: Dict[str, Any], connection: _Connection) -> None:
         try:
             request = QueryRequest.from_dict(payload)
         except ProtocolError as exc:
-            if isinstance(exc, VersionMismatchError):
-                self.stats.version_rejections += 1
-            else:
-                self.stats.protocol_errors += 1
+            cause = "version" if isinstance(exc, VersionMismatchError) else "protocol"
+            self._m_errors[cause].inc()
             connection.reject(payload.get("id"), str(exc))
             return
         self._admit(connection, request.id, _KIND_CODES[request.kind], request.start,
@@ -758,14 +790,14 @@ class ServingDaemon:
         """Check one valid query's target, range and admission; enqueue or reject it."""
         target = target or self._default_target
         if target not in self._targets:
-            self.stats.invalid_queries += 1
+            self._m_errors["invalid_query"].inc()
             connection.reject(request_id, f"unknown target {target!r}")
             return
         domain_size = self._domain_sizes.get(target)
         if domain_size is not None and end >= domain_size:
             # Validated per query at admission so one bad range can never
             # poison the coalesced batch it would have joined.
-            self.stats.invalid_queries += 1
+            self._m_errors["invalid_query"].inc()
             connection.reject(
                 request_id,
                 f"query touches item {end} but target {target!r} covers [0, {domain_size})",
@@ -799,8 +831,7 @@ class ServingDaemon:
         must not amplify its own overload with log volume; the suppressed
         count rides on the next allowed record.
         """
-        self.stats.overloaded += 1
-        self._m_rejections.labels(reason=reason).inc()
+        self._m_rejections[reason].inc()
         if self._overload_limiter.allow(reason):
             log_event(
                 self._log, logging.WARNING, "daemon.overload",
@@ -904,7 +935,7 @@ class ServingDaemon:
                 with span("daemon.resolve_engine", target=target):
                     engine, rung = self._resolve_engine(target)
                 if engine is None:
-                    self.stats.unavailable += size
+                    self._m_errors["unavailable"].inc(size)
                     lines = _error_lines(
                         ids,
                         f"target {target!r} is not materialised and build_on_miss "
@@ -921,16 +952,15 @@ class ServingDaemon:
                             else None
                         )
                         lines = encode_responses(ids, answers, errors)
-                    self.stats.engine_batches += 1
-                    self.stats.queries_answered += size
                     self._m_batches.inc()
                     self._m_queries.inc(size)
                     self._m_batch_size.observe(size)
-                    self.stats.largest_batch = max(self.stats.largest_batch, size)
+                    if size > self._m_largest_batch.value:
+                        self._m_largest_batch.set(size)
                     if size > 1:
-                        self.stats.coalesced_queries += size
+                        self._m_coalesced.inc(size)
             except Exception as exc:  # noqa: BLE001 - the daemon must not die
-                self.stats.internal_errors += size
+                self._m_errors["internal"].inc(size)
                 lines = _error_lines(
                     ids, f"internal error answering batch: {exc}", STATUS_ERROR
                 )

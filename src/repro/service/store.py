@@ -38,10 +38,11 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .._malloc import map_large_arrays
 from ..core.builders import build
 from ..core.metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
 from ..core.spec import (
@@ -49,8 +50,6 @@ from ..core.spec import (
     DEFAULT_KERNEL,
     DEFAULT_SSE_VARIANT,
     SynopsisSpec,
-    canonical_store_key,
-    workload_digest_of,
 )
 from ..core.synopsis import Synopsis
 from ..exceptions import StoreCorruptionError, SynopsisError
@@ -135,9 +134,11 @@ def fingerprint_data(data) -> str:
         canonical = json.dumps(model_to_dict(data), sort_keys=True, separators=(",", ":"))
         digest = _digest(canonical.encode())
     elif isinstance(data, FrequencyDistributions):
+        # A C-contiguous float64 array hashes through the buffer protocol:
+        # the same bytes as ``.tobytes()``, without copying the matrix.
         hasher = hashlib.sha256()
-        hasher.update(np.ascontiguousarray(data.values, dtype=float).tobytes())
-        hasher.update(np.ascontiguousarray(data.probabilities, dtype=float).tobytes())
+        hasher.update(np.ascontiguousarray(data.values, dtype=float))
+        hasher.update(np.ascontiguousarray(data.probabilities, dtype=float))
         digest = hasher.hexdigest()
     else:
         array = np.asarray(data, dtype=float)
@@ -156,9 +157,9 @@ class StoreStats:
     this class keeps the pre-telemetry surface (attribute reads,
     ``as_dict``) intact on top of them, so ``query --stats`` output and
     every existing caller are unchanged while the daemon's ``metrics`` op
-    exposes the very same numbers.  The registry is *ungated*: store
-    accounting is load-bearing (benchmarks, ``--stats``) whether or not
-    telemetry exposition is enabled.
+    exposes the very same numbers.  The store records into it whether or
+    not telemetry is enabled: its accounting is load-bearing (benchmarks,
+    ``--stats``).
 
     Beyond the hit/miss counts, the store accumulates where wall-clock time
     goes — ``build_seconds`` inside the DP builder on misses,
@@ -169,7 +170,7 @@ class StoreStats:
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry(gated=False)
+        self.registry = registry if registry is not None else MetricsRegistry()
         reg = self.registry
         self._builds = reg.counter(
             "repro_store_builds_total", "Cache-miss synopsis builds (DP runs)"
@@ -416,6 +417,9 @@ class SynopsisStore:
             raise SynopsisError(
                 f"max_memory_entries must be at least 1, got {max_memory_entries}"
             )
+        # A process that opens a store builds in it: keep the builds' large
+        # arrays out of the heap gaps that make its peak memory vary.
+        map_large_arrays()
         # Insertion/use order doubles as the LRU order: hits re-append.
         self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self._max_memory_entries = (
@@ -444,9 +448,9 @@ class SynopsisStore:
                 self._disk = _ColumnarDiskBackend(self._directory)
             else:
                 self._disk = _JsonDiskBackend(self._directory)
-        #: Per-store ungated registry holding the canonical ``repro_store_*``
+        #: Per-store registry holding the canonical ``repro_store_*``
         #: counters; the daemon merges it into its ``metrics`` exposition.
-        self.metrics = MetricsRegistry(gated=False)
+        self.metrics = MetricsRegistry()
         self.stats = StoreStats(self.metrics)
 
     @property
@@ -462,60 +466,6 @@ class SynopsisStore:
             while len(self._memory) > self._max_memory_entries:
                 self._memory.popitem(last=False)
                 self.stats.record_eviction()
-
-    # ------------------------------------------------------------------
-    # Keying — every key is derived from a SynopsisSpec
-    # ------------------------------------------------------------------
-    @staticmethod
-    def build_config(
-        *,
-        synopsis: str = "histogram",
-        budget: int,
-        metric: Union[str, ErrorMetric, MetricSpec] = ErrorMetric.SSE,
-        sanity: float = DEFAULT_SANITY,
-        method: str = "optimal",
-        kernel: str = DEFAULT_KERNEL,
-        epsilon: float = DEFAULT_EPSILON,
-        sse_variant: str = DEFAULT_SSE_VARIANT,
-    ) -> Dict:
-        """Canonical build-configuration dictionary (keyword shim).
-
-        Equivalent to ``SynopsisSpec(...).canonical()`` — the spec is the
-        source of truth; this wrapper survives for callers that still think
-        in keywords.
-        """
-        return SynopsisSpec(
-            kind=synopsis,
-            budget=budget,
-            metric=metric,
-            sanity=sanity,
-            method=method,
-            kernel=kernel,
-            epsilon=epsilon,
-            sse_variant=sse_variant,
-        ).canonical()
-
-    def key_for(
-        self,
-        fingerprint: str,
-        config: Union[SynopsisSpec, Mapping],
-        workload=None,
-    ) -> str:
-        """Content-address of one (dataset, spec) pair.
-
-        ``config`` is preferably a :class:`SynopsisSpec` (whose canonical
-        form and workload define the key); a raw canonical-config mapping
-        plus explicit ``workload`` is accepted for backwards compatibility
-        and digested through the identical
-        :func:`~repro.core.spec.canonical_store_key` format.
-        """
-        if isinstance(config, SynopsisSpec):
-            if workload is not None:
-                raise SynopsisError(
-                    "pass the workload inside the SynopsisSpec, not alongside it"
-                )
-            return config.store_key(fingerprint)
-        return canonical_store_key(fingerprint, config, workload_digest_of(workload))
 
     # ------------------------------------------------------------------
     # Cache access

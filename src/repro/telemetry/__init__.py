@@ -1,10 +1,13 @@
 """Dependency-free observability: metrics, spans, exposition, structured logs.
 
-The layer has one process-wide switch (:func:`enable` / :func:`disable`,
-off by default) guarding every *gated* instrument and span, so the serving
-hot path pays a single attribute check when observability is off.  See
-DESIGN.md's "Telemetry" section for the instrument taxonomy and the span
-marshalling protocol across process pools.
+Instruments record whenever they are called.  The layer has one
+process-wide switch (:func:`enable` / :func:`disable`, off by default) that
+span and engine-latency call sites check before they measure, so the
+serving hot path pays a single attribute check when observability is off.
+Each store and each daemon owns a :class:`MetricsRegistry`; the process-wide
+:func:`registry` holds only the engine and span families.  See DESIGN.md's
+"Telemetry" section for the instrument taxonomy and the span marshalling
+protocol across process pools.
 """
 
 from .exposition import CONTENT_TYPE, MetricFamily, parse_prometheus_text, render_prometheus

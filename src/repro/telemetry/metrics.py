@@ -4,28 +4,28 @@ Three instrument kinds, mirroring the Prometheus data model:
 
 - :class:`Counter` — monotonically non-decreasing totals;
 - :class:`Gauge` — values that go up and down (queue depths, cache sizes);
-- :class:`Histogram` — fixed-bucket latency distributions that also retain a
-  bounded window of raw observations so exact p50/p95/p99 can be extracted
-  (bucket interpolation is never good enough to compare against the exact
-  client-side summaries the loadgen already reports).
+- :class:`Histogram` — fixed-bucket distributions (per-bucket counts, sum
+  and count; exact percentiles are the reporting layer's job, from raw
+  samples: ``protocol.latency_summary``).
 
-Every instrument is *gated* by default: when telemetry is disabled (the
-initial state) a record call is a single attribute check on the shared
-:data:`STATE` object and an immediate return — cheap enough to leave
-instrument calls on the serving hot path unconditionally.  Subsystems whose
-counters are load-bearing even without telemetry (the store's ``StoreStats``
-view) create their registry with ``gated=False`` so recording always happens.
+An instrument records whenever it is called.  :data:`STATE` (flipped by
+:func:`enable` / :func:`disable`, off by default) is a switch for *call
+sites*: the span tracer and the engine's answer latency check it before
+they measure anything, so the serving hot path pays one attribute check
+while telemetry is off.  Counters that are load-bearing on their own — each
+store's and each daemon's registry, behind ``StoreStats`` and
+``ServingStats`` — are simply called unconditionally.
 
 Instruments with ``labelnames`` are families: call ``.labels(key=value)`` to
-get (and cache) the child that actually records.  Children share the family's
-gating and appear as individual samples under the family name in exposition.
+get (and cache) the child that actually records.  Children appear as
+individual samples under the family name in exposition.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 __all__ = [
     "Counter",
@@ -64,7 +64,7 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 
 
 class _TelemetryState:
-    """The one mutable flag every gated instrument checks before recording."""
+    """The one mutable flag that telemetry call sites check before measuring."""
 
     __slots__ = ("enabled",)
 
@@ -76,17 +76,17 @@ STATE = _TelemetryState()
 
 
 def enable() -> None:
-    """Turn recording on for all gated instruments (process-wide)."""
+    """Turn span and engine-latency recording on (process-wide)."""
     STATE.enabled = True
 
 
 def disable() -> None:
-    """Return gated instruments to their no-op fast path."""
+    """Return span and engine-latency call sites to their no-op fast path."""
     STATE.enabled = False
 
 
 def enabled() -> bool:
-    """Whether gated instruments currently record."""
+    """Whether span and engine-latency call sites currently record."""
     return STATE.enabled
 
 
@@ -108,6 +108,9 @@ def _validate_labelnames(labelnames: Sequence[str]) -> Tuple[str, ...]:
     return names
 
 
+_Self = TypeVar("_Self", bound="_Instrument")
+
+
 class _Instrument:
     """Shared family plumbing: naming, labels, child creation."""
 
@@ -118,16 +121,14 @@ class _Instrument:
         name: str,
         help: str = "",
         labelnames: Sequence[str] = (),
-        gated: bool = True,
     ) -> None:
         self.name = _validate_name(name)
         self.help = help
         self.labelnames = _validate_labelnames(labelnames)
-        self._gated = gated
-        self._children: Dict[Tuple[str, ...], "_Instrument"] = {}
+        self._children: Dict[Tuple[str, ...], Any] = {}
         self._lock = threading.Lock()
 
-    def labels(self, **labels: object) -> "_Instrument":
+    def labels(self: _Self, **labels: object) -> _Self:
         """The child instrument for one label combination (created on demand)."""
         if not self.labelnames:
             raise ValueError(f"metric {self.name!r} has no labels")
@@ -145,7 +146,7 @@ class _Instrument:
                     self._children[key] = child
         return child
 
-    def _make_child(self) -> "_Instrument":
+    def _make_child(self: _Self) -> _Self:
         raise NotImplementedError
 
     def _require_scalar(self) -> None:
@@ -154,7 +155,7 @@ class _Instrument:
                 f"metric {self.name!r} is a labelled family; record through .labels(...)"
             )
 
-    def samples(self) -> Iterator[Tuple[Dict[str, str], "_Instrument"]]:
+    def samples(self: _Self) -> Iterator[Tuple[Dict[str, str], _Self]]:
         """Yield ``(labels, child)`` pairs — one empty-label pair for scalars."""
         if not self.labelnames:
             yield {}, self
@@ -173,17 +174,14 @@ class Counter(_Instrument):
         name: str = "counter",
         help: str = "",
         labelnames: Sequence[str] = (),
-        gated: bool = True,
     ) -> None:
-        super().__init__(name, help, labelnames, gated)
+        super().__init__(name, help, labelnames)
         self._value = 0.0
 
     def _make_child(self) -> "Counter":
-        return Counter(self.name, self.help, (), self._gated)
+        return Counter(self.name, self.help)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._gated and not STATE.enabled:
-            return
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
         self._require_scalar()
@@ -204,23 +202,18 @@ class Gauge(_Instrument):
         name: str = "gauge",
         help: str = "",
         labelnames: Sequence[str] = (),
-        gated: bool = True,
     ) -> None:
-        super().__init__(name, help, labelnames, gated)
+        super().__init__(name, help, labelnames)
         self._value = 0.0
 
     def _make_child(self) -> "Gauge":
-        return Gauge(self.name, self.help, (), self._gated)
+        return Gauge(self.name, self.help)
 
     def set(self, value: float) -> None:
-        if self._gated and not STATE.enabled:
-            return
         self._require_scalar()
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._gated and not STATE.enabled:
-            return
         self._require_scalar()
         self._value += amount
 
@@ -233,19 +226,13 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Fixed-bucket distribution with a raw-observation window for exact quantiles.
+    """Fixed-bucket distribution: per-bucket counts plus a sum and a count.
 
     ``buckets`` are strictly increasing upper bounds; the +Inf bucket is
-    implicit (``counts`` has one more entry than ``buckets``).  The last
-    ``window`` raw observations are retained in a ring buffer so
-    :meth:`percentile` is *exact* over the recent window rather than
-    bucket-interpolated.
+    implicit (``counts`` has one more entry than ``buckets``).
     """
 
     kind = "histogram"
-
-    #: Raw observations retained for exact percentile extraction.
-    DEFAULT_WINDOW = 4096
 
     def __init__(
         self,
@@ -253,10 +240,8 @@ class Histogram(_Instrument):
         help: str = "",
         buckets: Sequence[float] = LATENCY_BUCKETS_MS,
         labelnames: Sequence[str] = (),
-        gated: bool = True,
-        window: int = DEFAULT_WINDOW,
     ) -> None:
-        super().__init__(name, help, labelnames, gated)
+        super().__init__(name, help, labelnames)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(f"histogram buckets must strictly increase, got {bounds!r}")
@@ -264,46 +249,16 @@ class Histogram(_Instrument):
         self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
-        self._window = max(1, int(window))
-        self._ring: List[float] = []
-        self._ring_pos = 0
 
     def _make_child(self) -> "Histogram":
-        return Histogram(
-            self.name, self.help, self.buckets, (), self._gated, self._window
-        )
+        return Histogram(self.name, self.help, self.buckets)
 
     def observe(self, value: float) -> None:
-        if self._gated and not STATE.enabled:
-            return
         self._require_scalar()
         value = float(value)
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
-        if len(self._ring) < self._window:
-            self._ring.append(value)
-        else:
-            self._ring[self._ring_pos] = value
-            self._ring_pos = (self._ring_pos + 1) % self._window
-
-    def percentile(self, p: float) -> float:
-        """Exact percentile (0..100) over the retained observation window."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._ring:
-            return 0.0
-        ordered = sorted(self._ring)
-        rank = min(len(ordered) - 1, max(0, round(p / 100 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def percentiles(self) -> Dict[str, float]:
-        """The canonical p50/p95/p99 triple used across bench reports."""
-        return {
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
 
     def cumulative_counts(self) -> List[int]:
         """Per-bucket cumulative counts, ending with the +Inf total."""
@@ -321,7 +276,6 @@ class Histogram(_Instrument):
             "counts": list(self.counts),
             "count": self.count,
             "sum": self.sum,
-            **self.percentiles(),
         }
 
 
@@ -337,14 +291,9 @@ class MetricsRegistry:
     can share families without coordination.
     """
 
-    def __init__(self, gated: bool = True) -> None:
-        self._gated = gated
+    def __init__(self) -> None:
         self._instruments: Dict[str, AnyInstrument] = {}
         self._lock = threading.Lock()
-
-    @property
-    def gated(self) -> bool:
-        return self._gated
 
     def _get_or_create(self, cls: type, name: str, kwargs: Dict[str, object]) -> AnyInstrument:
         with self._lock:
@@ -361,7 +310,7 @@ class MetricsRegistry:
                         f"{existing.labelnames}, asked for {labelnames}"
                     )
                 return existing
-            instrument = cls(name, gated=self._gated, **kwargs)
+            instrument = cls(name, **kwargs)
             self._instruments[name] = instrument
             return instrument
 
@@ -383,12 +332,9 @@ class MetricsRegistry:
         help: str = "",
         buckets: Sequence[float] = LATENCY_BUCKETS_MS,
         labelnames: Sequence[str] = (),
-        window: int = Histogram.DEFAULT_WINDOW,
     ) -> Histogram:
         out = self._get_or_create(
-            Histogram,
-            name,
-            {"help": help, "buckets": buckets, "labelnames": labelnames, "window": window},
+            Histogram, name, {"help": help, "buckets": buckets, "labelnames": labelnames}
         )
         assert isinstance(out, Histogram)
         return out
@@ -403,10 +349,11 @@ class MetricsRegistry:
         return len(self._instruments)
 
 
-#: The process-wide registry backing the daemon, engine, and span metrics.
-_DEFAULT_REGISTRY = MetricsRegistry(gated=True)
+#: The process-wide registry: the engine's answer latency and the span
+#: families, which any caller in the process feeds.
+_DEFAULT_REGISTRY = MetricsRegistry()
 
 
 def registry() -> MetricsRegistry:
-    """The process-wide gated registry."""
+    """The process-wide registry (engine and span families)."""
     return _DEFAULT_REGISTRY

@@ -608,7 +608,10 @@ class TestTelemetryIntegration:
         "repro_daemon_engine_evictions_total",
         "repro_daemon_pending_queries",
         "repro_daemon_slow_queries_total",
-        "repro_engine_batches_total",
+        "repro_daemon_errors_total",
+        "repro_daemon_coalesced_queries_total",
+        "repro_daemon_largest_batch",
+        "repro_daemon_drained_queries_total",
         "repro_engine_batch_latency_ms",
         "repro_store_builds_total",
         "repro_store_memory_hits_total",
@@ -640,12 +643,21 @@ class TestTelemetryIntegration:
         assert len(families) >= 12
         for name in self.REQUIRED_FAMILIES:
             assert name in families, f"family {name} missing from the scrape"
-        # The process-global counters are cumulative across daemons, so the
-        # assertions on values go through the daemon-lifetime ServingStats
-        # cross-check instead of absolute sample values.
-        ladder = families["repro_daemon_ladder_total"]
-        rungs = {labels["rung"] for _, labels, _ in ladder.samples}
-        assert "hot" in rungs  # the warmed engines answered from cache
+        samples = {
+            (name, tuple(labels.items())): value
+            for family in families.values()
+            for name, labels, value in family.samples
+        }
+        # One connection sent six queries, one at a time, then this scrape.
+        assert samples[("repro_daemon_connections_total", ())] == 1
+        assert samples[("repro_daemon_queries_answered_total", ())] == 6
+        assert samples[("repro_daemon_engine_batches_total", ())] == 6
+        assert samples[("repro_daemon_largest_batch", ())] == 1
+        assert samples[("repro_daemon_requests_total", (("op", "query"),))] == 6
+        assert samples[("repro_daemon_requests_total", (("op", "metrics"),))] == 1
+        # The warmed engines answered from cache.
+        assert samples[("repro_daemon_ladder_total", (("rung", "hot"),))] == 6
+        assert samples[("repro_daemon_errors_total", (("cause", "protocol"),))] == 0
 
     def test_build_spans_reach_the_metric_families(self, daemon_factory):
         """Warming the daemon's targets runs real builds under the global
@@ -685,7 +697,8 @@ class TestTelemetryIntegration:
         assert histogram["upper_bounds"] == list(LATENCY_BUCKETS_MS)
         assert len(histogram["counts"]) == len(LATENCY_BUCKETS_MS) + 1
         assert histogram["count"] == sum(histogram["counts"]) == 40
-        assert histogram["p50"] <= histogram["p95"] <= histogram["p99"]
+        latency = report["levels"][0]["latency_ms"]
+        assert latency["p50"] <= latency["p95"] <= latency["p99"]
         json.dumps(report)  # the whole report stays JSON-serialisable
 
     def test_slow_query_log_carries_the_span_tree(self, daemon_factory, caplog):

@@ -4,8 +4,8 @@ The golden-key matrix pins the exact SHA-256 store keys the pre-spec release
 derived for a representative grid of build configurations.  Any refactor of
 :class:`SynopsisSpec.canonical` / :meth:`SynopsisSpec.store_key` (or of the
 store's keying) that silently invalidates on-disk caches fails here first —
-the digests below were captured from the hand-rolled
-``SynopsisStore.build_config`` + ``key_for`` implementation they replaced.
+the digests below were captured from the store's hand-rolled keyword
+keying that the spec replaced (since deleted).
 """
 
 from __future__ import annotations
@@ -159,13 +159,26 @@ class TestGoldenStoreKeys:
     @pytest.mark.parametrize(
         "name,fingerprint,workload,kwargs,config,key", GOLDEN_KEYS, ids=_GOLDEN_IDS
     )
-    def test_store_keyword_shims_match_golden(
-        self, name, fingerprint, workload, kwargs, config, key
+    def test_store_files_build_under_golden_key(
+        self, tmp_path, name, fingerprint, workload, kwargs, config, key
     ):
-        store = SynopsisStore()
-        assert SynopsisStore.build_config(**kwargs) == config
-        assert store.key_for(fingerprint, config, workload) == key
-        assert store.key_for(fingerprint, _spec_of(kwargs, workload)) == key
+        # The store keys each budget through its own per-budget path; a
+        # build must land on disk under the golden key with the golden
+        # config.  The real-fingerprint case lets the store hash the
+        # dataset itself.
+        data = np.arange(16, dtype=float)
+        store = SynopsisStore(tmp_path, format="json")
+        built = store.get_or_build(
+            data,
+            _spec_of(kwargs, workload),
+            fingerprint=None if fingerprint == _FP_VEC else fingerprint,
+        )
+        assert [path.name for path in tmp_path.iterdir()] == [f"{key}.json"]
+        payload = json.loads((tmp_path / f"{key}.json").read_text())
+        assert payload["key"] == key
+        assert payload["config"] == config
+        assert store.get(key) is built
+        assert store.stats.builds == 1
 
     def test_fingerprint_pinned(self):
         # The dataset fingerprint feeds every key; pin one representative.

@@ -1,6 +1,7 @@
 """Tests for the dependency-free observability layer (repro.telemetry).
 
-Covers the typed instruments and their gating, the span tracer (including
+Covers the typed instruments (which record whether or not telemetry is
+enabled), the span tracer (including
 pickling across process boundaries and grafting shipped-back trees), the
 Prometheus text exposition round trip, structured JSON logging, the
 disabled-telemetry overhead bound on the serving hot path, and the complete
@@ -55,74 +56,56 @@ def enabled():
 # Instruments
 # ----------------------------------------------------------------------
 class TestInstruments:
-    def test_gated_instruments_are_noops_while_disabled(self):
-        registry = MetricsRegistry(gated=True)
-        counter = registry.counter("t_noop_total")
-        gauge = registry.gauge("t_noop_gauge")
-        histogram = registry.histogram("t_noop_ms")
-        counter.inc()
-        gauge.set(5)
-        histogram.observe(1.0)
-        assert counter.value == 0
-        assert gauge.value == 0
-        assert histogram.count == 0
-
-    def test_gated_instruments_record_when_enabled(self, enabled):
-        registry = MetricsRegistry(gated=True)
-        counter = registry.counter("t_on_total")
+    def test_instruments_record_while_telemetry_is_disabled(self):
+        assert not telemetry.STATE.enabled
+        registry = MetricsRegistry()
+        counter = registry.counter("t_always_total")
+        gauge = registry.gauge("t_always_gauge")
+        histogram = registry.histogram("t_always_ms")
         counter.inc()
         counter.inc(2.5)
+        gauge.set(5)
+        histogram.observe(1.0)
         assert counter.value == 3.5
+        assert gauge.value == 5
+        assert histogram.count == 1
 
-    def test_ungated_registry_records_regardless_of_the_flag(self):
-        registry = MetricsRegistry(gated=False)
-        counter = registry.counter("t_always_total")
-        counter.inc(4)
-        assert counter.value == 4
-
-    def test_counter_rejects_negative_increments(self, enabled):
-        counter = Counter("t_mono_total", gated=False)
+    def test_counter_rejects_negative_increments(self):
+        counter = Counter("t_mono_total")
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.inc(-1)
 
     def test_gauge_moves_both_ways(self):
-        gauge = Gauge("t_depth", gated=False)
+        gauge = Gauge("t_depth")
         gauge.set(10)
         gauge.inc(5)
         gauge.dec(3)
         assert gauge.value == 12
 
-    def test_histogram_buckets_and_exact_percentiles(self):
-        histogram = Histogram("t_lat_ms", buckets=(1.0, 10.0, 100.0), gated=False)
+    def test_histogram_buckets_count_and_sum(self):
+        histogram = Histogram("t_lat_ms", buckets=(1.0, 10.0, 100.0))
         for value in (0.5, 5.0, 50.0, 500.0):
             histogram.observe(value)
         assert histogram.counts == [1, 1, 1, 1]  # one per bucket + overflow
         assert histogram.cumulative_counts() == [1, 2, 3, 4]
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(555.5)
-        values = list(np.arange(1, 101, dtype=float))
-        exact = Histogram("t_exact_ms", buckets=(50.0,), gated=False)
-        for value in values:
-            exact.observe(value)
-        assert exact.percentile(50) == 50.0 or exact.percentile(50) == 51.0
-        assert exact.percentile(99) == 99.0 or exact.percentile(99) == 100.0
-        assert set(exact.percentiles()) == {"p50", "p95", "p99"}
 
     def test_histogram_snapshot_is_json_safe(self):
-        histogram = Histogram("t_snap_ms", buckets=(1.0, 2.0), gated=False)
+        histogram = Histogram("t_snap_ms", buckets=(1.0, 2.0))
         histogram.observe(0.5)
         histogram.observe(5.0)
         snapshot = histogram.snapshot()
         json.dumps(snapshot)  # no Infinity, no numpy scalars
-        assert snapshot["upper_bounds"] == [1.0, 2.0]
-        assert snapshot["counts"] == [1, 0, 1]
+        assert snapshot == {"upper_bounds": [1.0, 2.0], "counts": [1, 0, 1],
+                            "count": 2, "sum": 5.5}
 
     def test_histogram_rejects_unordered_buckets(self):
         with pytest.raises(ValueError, match="strictly increase"):
             Histogram("t_bad_ms", buckets=(2.0, 1.0))
 
     def test_labelled_family_children_and_samples(self):
-        registry = MetricsRegistry(gated=False)
+        registry = MetricsRegistry()
         family = registry.counter("t_ops_total", labelnames=("op",))
         family.labels(op="ping").inc()
         family.labels(op="ping").inc()
@@ -132,7 +115,7 @@ class TestInstruments:
         assert family.labels(op="ping") is family.labels(op="ping")
 
     def test_labels_validate_names_and_shape(self):
-        registry = MetricsRegistry(gated=False)
+        registry = MetricsRegistry()
         family = registry.counter("t_shape_total", labelnames=("op",))
         with pytest.raises(ValueError, match="expects labels"):
             family.labels(other="x")
@@ -151,7 +134,7 @@ class TestInstruments:
             Counter("t_ok_total", labelnames=("__hidden",))
 
     def test_registry_get_or_create_is_idempotent(self):
-        registry = MetricsRegistry(gated=False)
+        registry = MetricsRegistry()
         first = registry.counter("t_idem_total", "help text")
         again = registry.counter("t_idem_total")
         assert first is again
@@ -250,7 +233,7 @@ class TestSpans:
 # ----------------------------------------------------------------------
 class TestExposition:
     def test_render_and_parse_round_trip(self):
-        registry = MetricsRegistry(gated=False)
+        registry = MetricsRegistry()
         registry.counter("t_total", "a counter").inc(3)
         registry.gauge("t_depth", "a gauge").set(7)
         family = registry.counter("t_by_op_total", labelnames=("op",))
@@ -277,8 +260,8 @@ class TestExposition:
         assert sums[0][2] == pytest.approx(100.5)
 
     def test_multiple_registries_first_name_wins(self):
-        first = MetricsRegistry(gated=False)
-        second = MetricsRegistry(gated=False)
+        first = MetricsRegistry()
+        second = MetricsRegistry()
         first.counter("t_shared_total").inc(1)
         second.counter("t_shared_total").inc(99)
         second.counter("t_only_total").inc(5)
@@ -287,7 +270,7 @@ class TestExposition:
         assert families["t_only_total"].samples[0][2] == 5.0
 
     def test_families_are_exposed_even_before_any_sample(self):
-        registry = MetricsRegistry(gated=True)  # gated + disabled: no samples
+        registry = MetricsRegistry()
         registry.counter("t_latent_total", "registered but never incremented")
         families = parse_prometheus_text(render_prometheus(registry))
         assert "t_latent_total" in families
