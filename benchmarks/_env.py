@@ -5,7 +5,7 @@ Every ``bench_*.py`` script stamps its JSON artefact with the same
 before and after a toolchain change) can be compared honestly.  The block
 records the interpreter, numpy, the hardware, and — because the compiled
 kernel backend is the single biggest wall-clock lever — which compiled
-backend (if any) was active and whether numba was importable.
+backend (if any) was active.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import platform
 from typing import Any, Dict
 
-from repro._compiled import get_backend, numba_version
+from repro._compiled import get_backend
 
 
 def environment() -> Dict[str, Any]:
@@ -28,6 +28,5 @@ def environment() -> Dict[str, Any]:
         "machine": platform.machine(),
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
-        "numba": numba_version() or "absent",
         "compiled_backend": backend.name if backend is not None else "none",
     }

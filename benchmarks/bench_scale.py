@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     backend = get_backend()
     if backend is None:
         print(
-            "no compiled backend is available (numba not installed, no C compiler); "
+            "no compiled backend is available (no C compiler); "
             "nothing to measure",
             file=sys.stderr,
         )

@@ -11,8 +11,9 @@ Measured on a Zipf value-pdf model (n=2048 by default; ``--smoke`` shrinks
 the instance for CI):
 
 * **store** — wall-clock of a cold ``SynopsisStore.get_or_build`` (runs the
-  histogram DP), of a disk hit from a fresh store over the same directory,
-  and of an in-memory hit.  The hits must actually skip the build.
+  histogram DP), of a disk hit (a columnar pack load) from a fresh store over
+  the same directory, and of an in-memory hit.  The hits must actually skip
+  the build.
 * **histogram / wavelet serving** — a 10k-query mixed point/range workload
   answered by the per-query Python loop (the deployment baseline a naive
   integration would ship) and by the vectorised ``BatchQueryEngine.answer``
@@ -36,6 +37,7 @@ import numpy as np
 
 from _env import environment
 from repro._version import __version__
+from repro.core.spec import SynopsisSpec
 from repro.core.workload import QueryWorkload
 from repro.datasets import zipf_value_pdf
 from repro.service import BatchQueryEngine, SynopsisStore, generate_query_mix, replay
@@ -48,19 +50,20 @@ SMOKE_TARGET_SPEEDUP = 3.0
 
 def bench_store(model, buckets, metric):
     """Cold build vs disk hit vs memory hit through the synopsis store."""
+    spec = SynopsisSpec(budget=buckets, metric=metric)
     with tempfile.TemporaryDirectory() as directory:
         cold_store = SynopsisStore(directory)
         start = time.perf_counter()
-        built = cold_store.get_or_build(model, buckets, metric=metric)
+        built = cold_store.get_or_build(model, spec)
         build_seconds = time.perf_counter() - start
 
         warm_store = SynopsisStore(directory)
         start = time.perf_counter()
-        from_disk = warm_store.get_or_build(model, buckets, metric=metric)
+        from_disk = warm_store.get_or_build(model, spec)
         disk_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        from_memory = warm_store.get_or_build(model, buckets, metric=metric)
+        from_memory = warm_store.get_or_build(model, spec)
         memory_seconds = time.perf_counter() - start
         assert from_memory is from_disk
 
@@ -164,7 +167,7 @@ def main(argv=None) -> int:
 
     wavelet_store = SynopsisStore()
     wavelet = wavelet_store.get_or_build(
-        model, coefficients, synopsis="wavelet", metric=metric
+        model, SynopsisSpec(kind="wavelet", budget=coefficients, metric=metric)
     )
     wavelet_section = bench_serving("wavelet", wavelet, model, metric, batch)
 

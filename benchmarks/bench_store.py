@@ -1,28 +1,30 @@
 #!/usr/bin/env python
-"""Store-backend benchmark: columnar mmap cold starts vs JSON disk hits.
+"""Store benchmark: columnar mmap cold starts vs the JSON interchange read.
 
 Standalone (like ``bench_serving.py``), producing one machine-readable
 artefact CI can track:
 
     PYTHONPATH=src python benchmarks/bench_store.py [--smoke] [--output BENCH_store.json]
 
-Two measurements, mirroring the two costs the columnar backend exists to
-kill:
+Two measurements, mirroring the two costs the columnar pack exists to kill:
 
-* **cold start** — one large synopsis (n=65536, B=8192 by default) persisted
-  under both backends; a fresh ``SynopsisStore`` then loads it from disk.
-  The JSON backend pays a full text parse and array re-materialisation; the
-  columnar backend pays an index lookup, a CRC pass and an mmap view.  The
-  loaded synopses must answer a mixed query batch **bit-identically** before
-  any number is recorded.
+* **cold start** — one large synopsis (n=65536, B=8192 by default) written
+  once into a store's pack and once as a JSON interchange document
+  (:func:`repro.io.write_synopsis`).  A fresh ``SynopsisStore`` then loads it
+  from the pack, and :func:`repro.io.read_synopsis` reads the document.  The
+  JSON read pays a full text parse and array re-materialisation (what the
+  store's retired JSON format paid on every disk hit); the pack pays an index
+  lookup, a CRC pass and an mmap view.  Both loaded synopses must answer a
+  mixed query batch **bit-identically** before any number is recorded.
 * **large store** — a pack holding 100k entries (2k under ``--smoke``); the
   cost tracked is *store open + first query* on a fresh process, which the
   fixed-record index keeps in the milliseconds, and the resident-set growth
   of reading through entries, which mmap keeps far below the pack size.
 
-Headline targets: columnar cold start at least 30x faster than the JSON disk
-hit (5x under ``--smoke``, where the synopsis is small enough that constant
-costs dominate), and open + first query under 150ms at 100k entries.
+Headline targets: columnar cold start at least 30x faster than the JSON
+interchange read (5x under ``--smoke``, where the synopsis is small enough
+that constant costs dominate), and open + first query under 150ms at 100k
+entries.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from _env import environment
 from repro._version import __version__
 from repro.core.histogram import Histogram
 from repro.core.wavelet import WaveletSynopsis
+from repro.io import read_synopsis, write_synopsis
 from repro.service import SynopsisStore
 
 TARGET_COLD_START_SPEEDUP = 30.0
@@ -86,7 +89,7 @@ def resident_bytes() -> int:
 
 
 def bench_cold_start(domain_size: int, buckets: int, terms: int):
-    """One big synopsis per kind, persisted under both backends, loaded cold."""
+    """One big synopsis per kind, in a pack and as a JSON document, loaded cold."""
     synopses = {
         "histogram": synthetic_histogram(domain_size, buckets, seed=1),
         "wavelet": synthetic_wavelet(domain_size, terms, seed=2),
@@ -94,25 +97,28 @@ def bench_cold_start(domain_size: int, buckets: int, terms: int):
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for fmt in ("json", "columnar"):
-            writer = SynopsisStore(tmp / fmt, format=fmt)
-            for kind, synopsis in synopses.items():
-                writer.put(f"{kind}-large", synopsis, {"kind": kind})
+        writer = SynopsisStore(tmp / "pack")
+        for kind, synopsis in synopses.items():
+            writer.put(f"{kind}-large", synopsis, {"kind": kind})
+            write_synopsis(synopsis, tmp / f"{kind}-large.json")
+        loaders = {
+            "json": lambda kind: read_synopsis(tmp / f"{kind}-large.json"),
+            "columnar": lambda kind: SynopsisStore(tmp / "pack").get(f"{kind}-large"),
+        }
 
         for kind, synopsis in synopses.items():
             expected_points, expected_ranges = query_answers(synopsis)
             timings = {}
-            for fmt in ("json", "columnar"):
+            for fmt, load in loaders.items():
                 # A "cold start" is a fresh process/store instance, not a cold
                 # OS page cache (both files were just written); warm the cache
-                # once untimed, then take the median of fresh-store loads so
+                # once untimed, then take the median of fresh loads so
                 # first-touch page faults don't swamp the per-load cost.
-                loaded = SynopsisStore(tmp / fmt, format=fmt).get(f"{kind}-large")
+                loaded = load(kind)
                 samples = []
                 for _ in range(7):
                     start = time.perf_counter()
-                    reader = SynopsisStore(tmp / fmt, format=fmt)
-                    loaded = reader.get(f"{kind}-large")
+                    loaded = load(kind)
                     samples.append(time.perf_counter() - start)
                 timings[fmt] = float(np.median(samples))
                 points, ranges = query_answers(loaded)
@@ -147,7 +153,7 @@ def bench_large_store(entries: int):
         # Bounded residency during ingest, and the writer is dropped before
         # timing: the metric is open + first query on a *fresh* process,
         # which holds none of the writer's heap.
-        writer = SynopsisStore(tmp, format="columnar", max_memory_entries=64)
+        writer = SynopsisStore(tmp, max_memory_entries=64)
         start = time.perf_counter()
         template_starts = np.array([0, 8, 16, 32], dtype=np.int64)
         template_ends = np.array([7, 15, 31, 63], dtype=np.int64)
@@ -166,7 +172,7 @@ def bench_large_store(entries: int):
         probe = f"entry-{entries // 2:07d}"
         before = resident_bytes()
         start = time.perf_counter()
-        reader = SynopsisStore(tmp, format="columnar")
+        reader = SynopsisStore(tmp)
         loaded = reader.get(probe)
         answer = float(loaded.range_sum_estimate(0, 63))
         open_first_query_seconds = time.perf_counter() - start

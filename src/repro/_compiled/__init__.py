@@ -1,4 +1,4 @@
-"""Compiled (JIT / C) implementations of the package's hot loops.
+"""Compiled (C) implementations of the package's hot loops.
 
 The histogram DP kernels and the SAE/SARE pooled-median span costs are
 exact algorithms whose cost is dominated by scalar inner loops; this
@@ -6,9 +6,7 @@ subpackage provides compiled implementations of all of them behind a
 single resolver:
 
 * :mod:`~repro._compiled.kernels_py` — the pure-Python algorithmic source
-  (nopython-subset; what numba compiles and what the tests verify);
-* :mod:`~repro._compiled.numba_backend` — ``@njit``-compiled, used when
-  numba is installed (``pip install repro-synopses[fast]``);
+  that ``ckernels.c`` mirrors line by line and the tests verify;
 * :mod:`~repro._compiled.cc_backend` — a ctypes-loaded shared library
   compiled on demand from ``ckernels.c`` with the system C compiler;
 * :mod:`~repro._compiled.backend` — resolution, caching and the
@@ -19,6 +17,6 @@ kernels and the SAE/SARE oracle's numpy batch path solve everything, at the
 old speed.
 """
 
-from .backend import CompiledBackend, get_backend, numba_version, reset_backend
+from .backend import CompiledBackend, get_backend, reset_backend
 
-__all__ = ["CompiledBackend", "get_backend", "reset_backend", "numba_version"]
+__all__ = ["CompiledBackend", "get_backend", "reset_backend"]

@@ -1,21 +1,21 @@
-"""Compiled-backend resolution: numba if installed, the C library otherwise.
+"""Compiled-backend resolution: the C library, when a compiler builds it.
 
 The rest of the package never imports a concrete backend module; it asks
 :func:`get_backend` for the process-wide :class:`CompiledBackend` (or
 ``None`` when nothing compiled is available) and calls its three entry
-points: the two histogram DPs and the SAE/SARE span costs.  All backends
+points: the two histogram DPs and the SAE/SARE span costs.  Both backends
 share one calling convention — the signatures of
 :mod:`repro._compiled.kernels_py` — so callers are backend-agnostic.
 
 Resolution order and the ``REPRO_COMPILED_BACKEND`` override:
 
-* ``auto`` (default): try ``numba``, then ``cc``; quietly ``None`` when
-  neither imports (absence is a supported configuration, not an error —
-  the numpy kernels remain the unconditional fallback).
-* ``numba`` / ``cc``: force exactly that backend, ``None`` if unavailable.
+* ``auto`` (default): ``cc``; quietly ``None`` when it does not import
+  (absence is a supported configuration, not an error — the numpy kernels
+  remain the unconditional fallback).
+* ``cc``: force the C library, ``None`` if unavailable.
 * ``python``: the interpreted kernel source itself — far too slow for
   production (the registry would rather fall back to numpy), but it lets
-  tests exercise the exact code numba compiles on machines without numba.
+  tests run the compiled backend's entry points as interpreted Python.
 * ``none``: disable compiled kernels entirely (CI uses this to keep the
   pure-numpy resolution path green).
 
@@ -30,20 +30,19 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["CompiledBackend", "get_backend", "reset_backend", "numba_version"]
+__all__ = ["CompiledBackend", "get_backend", "reset_backend"]
 
 #: Environment variable overriding backend resolution.
 BACKEND_ENV = "REPRO_COMPILED_BACKEND"
 
 _MODULES = {
-    "numba": "repro._compiled.numba_backend",
     "cc": "repro._compiled.cc_backend",
     "python": "repro._compiled.kernels_py",
 }
 
 #: Backends ``auto`` is allowed to pick, best first.  ``python`` is absent
 #: on purpose: interpreted loops lose to the numpy kernels.
-_AUTO_ORDER = ("numba", "cc")
+_AUTO_ORDER = ("cc",)
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,3 @@ def reset_backend() -> None:
     """Forget the resolved backend so the next call re-resolves (tests)."""
     global _RESOLVED
     _RESOLVED = None
-
-
-def numba_version() -> Optional[str]:
-    """The installed numba version, or ``None`` — without importing repro state."""
-    try:
-        return importlib.import_module("numba").__version__
-    except ImportError:
-        return None

@@ -1,7 +1,7 @@
 """C backend: on-demand ``cc``-compiled shared library driven via ctypes.
 
-When numba is not installed but a C compiler is on the PATH (``cc``,
-``gcc`` or ``clang``), the kernels in ``ckernels.c`` — a line-by-line
+When a C compiler is on the PATH (``cc``, ``gcc`` or ``clang``), the
+kernels in ``ckernels.c`` — a line-by-line
 transliteration of :mod:`repro._compiled.kernels_py` — are compiled once
 into a small shared library and loaded with ctypes.  The build is cached
 under the user cache directory, keyed by a hash of the C source, so a
@@ -15,7 +15,8 @@ test matrix enforces.
 
 Importing this module raises :class:`ImportError` when no compiler is
 available or the build fails (with a ``RuntimeWarning`` naming the failure
-in the latter case), mirroring the numba backend's absence semantics.
+in the latter case); the backend resolver treats that as "no compiled
+backend", and the numpy kernels solve everything.
 """
 
 from __future__ import annotations

@@ -1,17 +1,15 @@
 """Pure-Python source of the compiled hot-loop kernels.
 
-These functions are the *algorithmic source of truth* for every compiled
+These functions are the *algorithmic source of truth* for the compiled
 backend:
 
-* the numba backend (:mod:`repro._compiled.numba_backend`) compiles exactly
-  these functions with ``@njit`` — they are written in the nopython subset
-  (scalar loops, builtins, ``np.empty``/``np.inf`` only) so the jitted and
-  interpreted semantics are identical;
 * the C backend (:mod:`repro._compiled.cc_backend`) is a line-by-line
-  transliteration, kept honest by the equivalence tests that pin all
-  backends bit-identical to the numpy reference kernels;
-* the tests run these functions *interpreted* on small inputs, so the code
-  numba would compile stays verified even on machines without numba.
+  transliteration of them (scalar loops, builtins, ``np.empty``/``np.inf``
+  only), kept honest by the equivalence tests that pin it bit-identical to
+  the numpy reference kernels;
+* the tests run these functions *interpreted* on small inputs against the
+  same numpy kernels (the ``python`` backend), so the algorithm the C file
+  mirrors stays verified even on machines without a C compiler.
 
 Interpreted execution is orders of magnitude slower than the numpy kernels,
 so this module is never selected as a production backend — the registry

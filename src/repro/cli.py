@@ -124,9 +124,9 @@ def _serving_config_parser(*, required: bool) -> argparse.ArgumentParser:
     serving_config.add_argument("--store", required=required, default=None,
                                 help="synopsis store directory")
     serving_config.add_argument(
-        "--store-format", choices=["json", "columnar"], default="json",
-        help="on-disk store backend: human-readable JSON entries (default) or "
-        "the binary columnar pack with zero-copy mmap loads",
+        "--store-format", choices=["columnar"], default="columnar",
+        help="on-disk store format; the binary columnar pack (zero-copy mmap "
+        "loads) is the only one",
     )
     serving_config.add_argument(
         "--spec", metavar="FILE", default=None,
@@ -377,12 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect.add_argument("--store", required=True, help="synopsis store directory")
     inspect.add_argument(
-        "--format", choices=["auto", "json", "columnar"], default="auto",
-        help="store backend to inspect (default: detect from the files present)",
-    )
-    inspect.add_argument(
         "--verify", action="store_true",
-        help="checksum every columnar entry and report per-entry health",
+        help="checksum every entry and report per-entry health",
     )
     return parser
 
@@ -504,7 +500,7 @@ def _store_get_or_build(args: argparse.Namespace, model):
     """Shared serve-build/query path: fetch the synopsis through the store."""
     from .service import SynopsisStore
 
-    store = SynopsisStore(args.store, format=args.store_format)
+    store = SynopsisStore(args.store)
     spec = _serving_spec(args)
     synopsis = store.get_or_build(model, spec)
     return store, spec, synopsis
@@ -640,7 +636,7 @@ def _render_store_stats(store) -> str:
         f"{name}={count}" for name, count in sorted(stats.disk_hits_by_backend.items())
     )
     return (
-        f"store stats [{store.format}]: {stats.lookups} lookups = "
+        f"store stats: {stats.lookups} lookups = "
         f"{stats.builds} builds ({stats.build_seconds:.4f}s) + "
         f"{stats.memory_hits} memory hits + {stats.disk_hits} disk hits "
         f"({stats.disk_load_seconds:.4f}s{'; ' + by_backend if by_backend else ''}); "
@@ -673,7 +669,7 @@ def _serve(args: argparse.Namespace) -> str:
 
     configure_logging(args.log_level)
     model = read_model(args.input)
-    store = SynopsisStore(args.store, format=args.store_format)
+    store = SynopsisStore(args.store)
     spec = _serving_spec(args)
     # The primary spec serves as target "default"; --also-budget B adds a
     # sibling target "b{B}" under the same build configuration, so one daemon
@@ -884,50 +880,32 @@ def _store_inspect(args: argparse.Namespace) -> str:
     directory = Path(args.store)
     if not directory.is_dir():
         raise ReproError(f"no store directory at {directory}")
-    chosen = args.format
-    if chosen == "auto":
-        chosen = "columnar" if SynopsisPack.present(directory) else "json"
-    if chosen == "columnar":
-        if not SynopsisPack.present(directory):
-            raise ReproError(f"no columnar pack store at {directory}")
-        pack = SynopsisPack(directory)
-        rows = pack.describe(verify=args.verify)
-        lines = [
-            f"columnar store at {directory} (format v{PACK_VERSION}): "
-            f"{len(pack)} entries, {pack.dead_records} superseded records, "
-            f"pack {pack.pack_path.stat().st_size:,} bytes, "
-            f"index {pack.index_path.stat().st_size:,} bytes"
-        ]
-        for row in rows:
-            health = ""
-            if args.verify:
-                health = " crc ok" if row.get("crc_ok") else " CRC MISMATCH"
-            lines.append(
-                f"{row['key'][:16]}…  kind={row['kind']}  "
-                f"@{row['offset']}  {row['nbytes']:,} bytes  {row['crc32']}{health}"
-            )
-            for segment in row["segments"]:
-                shape = "x".join(str(s) for s in segment["shape"])
-                lines.append(
-                    f"    {segment['name']:<28} {segment['dtype']:>5} "
-                    f"[{shape}]  @{segment['offset']}  {segment['nbytes']:,} bytes"
-                )
-            if "error" in row:
-                lines.append(f"    unreadable: {row['error']}")
-        return "\n".join(lines)
-    import json as json_module
-
-    entries = sorted(directory.glob("*.json"))
-    lines = [f"json store at {directory}: {len(entries)} entries"]
-    for path in entries:
-        try:
-            payload = json_module.loads(path.read_text())
-            kind = payload.get("synopsis", {}).get("synopsis", "?")
-        except (json_module.JSONDecodeError, UnicodeDecodeError, AttributeError):
-            kind = "unreadable"
+    if not SynopsisPack.present(directory):
+        raise ReproError(f"no columnar pack store at {directory}")
+    pack = SynopsisPack(directory)
+    rows = pack.describe(verify=args.verify)
+    lines = [
+        f"columnar store at {directory} (format v{PACK_VERSION}): "
+        f"{len(pack)} entries, {pack.dead_records} superseded records, "
+        f"pack {pack.pack_path.stat().st_size:,} bytes, "
+        f"index {pack.index_path.stat().st_size:,} bytes"
+    ]
+    for row in rows:
+        health = ""
+        if args.verify:
+            health = " crc ok" if row.get("crc_ok") else " CRC MISMATCH"
         lines.append(
-            f"{path.stem[:16]}…  kind={kind}  {path.stat().st_size:,} bytes"
+            f"{row['key'][:16]}…  kind={row['kind']}  "
+            f"@{row['offset']}  {row['nbytes']:,} bytes  {row['crc32']}{health}"
         )
+        for segment in row["segments"]:
+            shape = "x".join(str(s) for s in segment["shape"])
+            lines.append(
+                f"    {segment['name']:<28} {segment['dtype']:>5} "
+                f"[{shape}]  @{segment['offset']}  {segment['nbytes']:,} bytes"
+            )
+        if "error" in row:
+            lines.append(f"    unreadable: {row['error']}")
     return "\n".join(lines)
 
 

@@ -95,8 +95,8 @@ class KernelFallbackWarning(UserWarning):
     with no compiled backend installed) falls back along the registry's
     preference order.  The optimum is unchanged — only the speed — but the
     fallback used to be silent; this warning names both the requested and
-    the resolved kernel so the caller can fix the call site (or install the
-    ``[fast]`` extra).
+    the resolved kernel so the caller can fix the call site (or install a C
+    compiler).
     """
 
 

@@ -147,7 +147,7 @@ class DPKernel(abc.ABC):
         """Whether this kernel can run at all in the current environment.
 
         The numpy kernels are always available; the compiled kernels depend
-        on an optional backend (numba or a C compiler) and report ``False``
+        on an optional backend (a C compiler) and report ``False``
         without one, which drops them from ``available_kernels()`` and from
         ``auto`` resolution.
         """

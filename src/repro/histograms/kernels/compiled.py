@@ -1,8 +1,8 @@
 """Compiled DP kernels: the registry face of :mod:`repro._compiled`.
 
-Two kernels run the histogram DP entirely inside compiled code (numba JIT
-or the on-demand-built C library), with no Python callbacks in the hot
-loop.  Both require the oracle to expose the flat quadratic-prefix state of
+Two kernels run the histogram DP entirely inside compiled code (the
+on-demand-built C library), with no Python callbacks in the hot loop.
+Both require the oracle to expose the flat quadratic-prefix state of
 :meth:`~repro.histograms.cost_base.BucketCostFunction.to_compiled_arrays`
 — that contract reproduces ``costs_for_spans`` bit-for-bit, so the
 compiled kernels inherit the registry's bit-identical-optimum guarantees
@@ -17,10 +17,9 @@ compiled kernels inherit the registry's bit-identical-optimum guarantees
   materialised.  Unconditional (no monotonicity needed); capped by compute
   time rather than memory, which raises the dense ceiling 16x.
 
-When no compiled backend is available (`pip install repro-synopses[fast]`
-provides numba; any system C compiler provides the fallback library) the
-kernels report themselves unavailable and the registry resolves to the
-numpy kernels — loudly, via ``KernelFallbackWarning``, when one of these
+When no compiled backend is available (any system C compiler provides
+the library) the kernels report themselves unavailable and the registry
+resolves to the numpy kernels — loudly, via ``KernelFallbackWarning``, when one of these
 names was requested explicitly.
 """
 
@@ -59,8 +58,8 @@ class _CompiledKernel(DPKernel):
         backend = get_backend()
         if backend is None:
             raise SynopsisError(
-                f"the {self.name!r} kernel needs a compiled backend (numba or a C "
-                "compiler); install the [fast] extra or use a numpy kernel"
+                f"the {self.name!r} kernel needs the compiled backend (a C "
+                "compiler on the PATH); use a numpy kernel without one"
             )
         arrays = cost_fn.to_compiled_arrays()
         if arrays is None or cost_fn.aggregation != "sum":

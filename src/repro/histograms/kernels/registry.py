@@ -6,7 +6,7 @@ callers request one by name or pass ``"auto"`` to let the registry pick the
 fastest kernel that solves the given oracle exactly:
 
 * cumulative metrics with monotone split points → the compiled divide and
-  conquer when a compiled backend (numba or the C library) is available and
+  conquer when the compiled backend (the C library) is available and
   the oracle exposes flat prefix arrays, else the numpy ``divide_conquer``
   (both ``O(B n log n)``);
 * everything else → the compiled dense recurrence while its latency cap

@@ -1,9 +1,10 @@
 """Input/output: JSON, text and binary columnar formats for models and synopses.
 
-The JSON interchange format round-trips every model and synopsis exactly and
-stays the default (and the debugging surface); :mod:`repro.io.binary_format`
-adds the versioned columnar pack format the serving store's ``columnar``
-backend uses for zero-copy memory-mapped loads.
+The JSON interchange format round-trips every model and synopsis exactly: it
+is the format of model files, of ``build-histogram`` / ``build-wavelet``
+output and of :func:`read_synopsis`, and the debugging surface.
+:mod:`repro.io.binary_format` is the versioned columnar pack format, the
+serving store's on-disk format, with zero-copy memory-mapped loads.
 """
 
 from .binary_format import (

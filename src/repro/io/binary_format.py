@@ -1,10 +1,10 @@
 """Columnar binary synopsis storage: aligned numpy segments, mmap reads.
 
 The JSON interchange format (:mod:`repro.io.text_format`) round-trips every
-synopsis exactly and stays the debugging / interchange surface, but it makes
-the serving tier pay a text tax on every disk hit: parse, box, re-materialise
-every array.  This module is the binary alternative the
-:class:`~repro.service.store.SynopsisStore` columnar backend builds on:
+synopsis exactly and stays the debugging / interchange surface, but a store
+built on it would pay a text tax on every disk hit: parse, box,
+re-materialise every array.  This module is the on-disk format of
+:class:`~repro.service.store.SynopsisStore`:
 
 * **one append-only pack file per store** (``synopses.pack``) holding every
   synopsis's numeric payload as 64-byte-aligned little-endian numpy segments

@@ -6,9 +6,10 @@ its declarative :class:`~repro.core.spec.SynopsisSpec`) turns probabilistic
 data into small synopses; this subpackage is the deployment side that stands
 those synopses up against query traffic:
 
-* :class:`SynopsisStore` — content-addressed build cache (in-memory + JSON
-  or columnar/mmap on disk, keyed by ``SynopsisSpec.canonical()``) so every
-  (dataset, spec) pair pays its dynamic program exactly once;
+* :class:`SynopsisStore` — content-addressed build cache (in memory, and on
+  disk as one columnar pack with mmap loads, keyed by
+  ``SynopsisSpec.canonical()``) so every (dataset, spec) pair pays its
+  dynamic program exactly once;
 * :class:`BatchQueryEngine` / :func:`answer_batch` — vectorised evaluation
   of mixed point / range-sum / range-avg :class:`QueryBatch` es, with
   per-query expected-error attribution from the per-item expected errors;

@@ -12,13 +12,13 @@ digest of
 * the spec's **canonical build configuration**
   (:meth:`SynopsisSpec.canonical`, the only source of store keys),
 
-and caches the result in memory and, optionally, on disk — as JSON (via the
-:mod:`repro.io` interchange format, the default and the debugging surface)
-or in the binary columnar pack format (:mod:`repro.io.binary_format`), whose
-loads are zero-copy views into a memory-mapped pack file.  Repeat builds —
-the common case for a serving tier that answers millions of queries against
-a handful of synopsis configurations — are cache hits that skip the dynamic
-program entirely.
+and caches the result in memory and, optionally, on disk in one binary
+columnar pack (:mod:`repro.io.binary_format`), whose loads are zero-copy
+views into a memory-mapped pack file.  Repeat builds — the common case for a
+serving tier that answers millions of queries against a handful of synopsis
+configurations — are cache hits that skip the dynamic program entirely.
+The JSON interchange format (:mod:`repro.io`) stays the way to exchange a
+single synopsis; it is not a store format.
 
 Cache invalidation is automatic: any change to the data or the spec changes
 the key, and stale entries are simply never looked up again.  Knobs a build
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import weakref
 from collections import OrderedDict
@@ -44,25 +43,16 @@ import numpy as np
 
 from .._malloc import map_large_arrays
 from ..core.builders import build
-from ..core.metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
-from ..core.spec import (
-    DEFAULT_EPSILON,
-    DEFAULT_KERNEL,
-    DEFAULT_SSE_VARIANT,
-    SynopsisSpec,
-)
+from ..core.spec import SynopsisSpec
 from ..core.synopsis import Synopsis
-from ..exceptions import StoreCorruptionError, SynopsisError
-from ..io import model_to_dict, synopsis_from_dict, synopsis_to_dict
+from ..exceptions import SynopsisError
+from ..io import model_to_dict
 from ..io.binary_format import SynopsisPack
 from ..models.base import ProbabilisticModel
 from ..models.frequency import FrequencyDistributions
 from ..telemetry import MetricsRegistry, span
 
-__all__ = ["SynopsisStore", "StoreStats", "fingerprint_data", "STORE_FORMATS"]
-
-#: The on-disk backends ``SynopsisStore`` can persist through.
-STORE_FORMATS = ("json", "columnar")
+__all__ = ["SynopsisStore", "StoreStats", "fingerprint_data"]
 
 
 def _digest(payload: bytes) -> str:
@@ -163,10 +153,11 @@ class StoreStats:
 
     Beyond the hit/miss counts, the store accumulates where wall-clock time
     goes — ``build_seconds`` inside the DP builder on misses,
-    ``disk_load_seconds`` deserialising disk hits — and attributes disk hits
-    to the backend that served them (``disk_hits_by_backend``), so benchmarks
-    and the service layer can report "cache hit" cost per storage format
-    rather than a single undifferentiated number.
+    ``disk_load_seconds`` loading disk hits.  Disk hits keep the ``backend``
+    label they were counted under when the store had two disk formats
+    (``disk_hits_by_backend``); the pack is the only one now, so the label
+    is always ``columnar``, and the ``stats`` reply and the scrape keep
+    their shape.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -248,9 +239,9 @@ class StoreStats:
     def record_memory_hit(self) -> None:
         self._memory_hits.inc()
 
-    def count_disk_hit(self, backend: str) -> None:
-        """Record one disk hit served by ``backend``."""
-        self._disk_hits.labels(backend=backend).inc()
+    def count_disk_hit(self) -> None:
+        """Record one disk hit, served by the columnar pack."""
+        self._disk_hits.labels(backend="columnar").inc()
 
     def add_disk_load_seconds(self, seconds: float) -> None:
         self._disk_load_seconds.inc(seconds)
@@ -285,113 +276,23 @@ class _Entry:
     config: Dict = field(default_factory=dict)
 
 
-class _JsonDiskBackend:
-    """On-disk layer storing one pretty-printed ``<key>.json`` per entry.
-
-    The default: human-greppable, diff-friendly, and the package's
-    interchange format — but every load pays a JSON parse and full array
-    re-materialisation.
-    """
-
-    name = "json"
-
-    def __init__(self, directory: Path):
-        self.directory = directory
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def load(self, key: str) -> Optional[Tuple[Synopsis, Dict]]:
-        path = self._path_for(key)
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            synopsis = synopsis_from_dict(payload["synopsis"])
-            config = payload.get("config", {})
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
-                SynopsisError) as exc:
-            raise StoreCorruptionError(
-                f"malformed JSON store entry: {exc}", path=path
-            ) from exc
-        return synopsis, config
-
-    def store(self, key: str, synopsis: Synopsis, config: Dict) -> None:
-        payload = {
-            "key": key,
-            "config": config,
-            "synopsis": synopsis_to_dict(synopsis),
-        }
-        # Write-then-rename so concurrent readers (and crashed writers)
-        # never observe a truncated entry: the key either resolves to a
-        # complete JSON document or does not exist yet.
-        path = self._path_for(key)
-        scratch = path.with_suffix(f".tmp-{os.getpid()}")
-        scratch.write_text(json.dumps(payload, indent=2))
-        os.replace(scratch, path)
-
-    def contains(self, key: str) -> bool:
-        return self._path_for(key).exists()
-
-    def keys(self) -> set:
-        return {p.stem for p in self.directory.glob("*.json")}
-
-    def clear(self) -> None:
-        for path in self.directory.glob("*.json"):
-            path.unlink(missing_ok=True)
-
-
-class _ColumnarDiskBackend:
-    """On-disk layer over the binary columnar pack (:mod:`repro.io.binary_format`).
-
-    Loads return synopses whose arrays are read-only views into the shared
-    pack mmap — no parsing, no copies — so an LRU-evicted entry degrades to
-    an mmap hit instead of a rebuild, and resident memory stays sublinear in
-    the entry count.
-    """
-
-    name = "columnar"
-
-    def __init__(self, directory: Path):
-        self.directory = directory
-        self.pack = SynopsisPack(directory)
-
-    def load(self, key: str) -> Optional[Tuple[Synopsis, Dict]]:
-        return self.pack.get(key)
-
-    def store(self, key: str, synopsis: Synopsis, config: Dict) -> None:
-        self.pack.put(key, synopsis, config)
-
-    def contains(self, key: str) -> bool:
-        return key in self.pack
-
-    def keys(self) -> set:
-        return set(self.pack.keys())
-
-    def clear(self) -> None:
-        # Truncating back to the bare headers *is* the compaction of an
-        # emptied store: appended payload bytes are reclaimed immediately.
-        self.pack.clear()
-
-
 class SynopsisStore:
     """In-memory + on-disk cache of built synopses, keyed by content.
 
     Parameters
     ----------
     directory:
-        Optional directory for the on-disk layer.  When given, every build is
-        persisted and survives the process; a fresh store over the same
-        directory serves those entries as disk hits.  Without a directory the
-        store is memory-only.
+        Optional directory for the on-disk layer, one columnar pack
+        (:class:`~repro.io.binary_format.SynopsisPack`).  When given, every
+        build is persisted and survives the process; a fresh store over the
+        same directory serves those entries as disk hits, whose arrays are
+        read-only views into the memory-mapped pack.  Without a directory
+        the store is memory-only.  A directory that holds ``<key>.json``
+        entries of the retired JSON store and no pack is refused, rather
+        than missing on every lookup.
     format:
-        On-disk serialisation: ``"json"`` (the default — one human-readable
-        ``<key>.json`` interchange document per entry) or ``"columnar"``
-        (one binary append-only pack per store with memory-mapped zero-copy
-        loads; see :mod:`repro.io.binary_format`).  Both round-trip every
-        synopsis bit-identically; opening a directory written in the other
-        format is rejected up front.
+        The on-disk format.  ``"columnar"`` is the only one; any other
+        value is an error.
     max_memory_entries:
         Optional cap on the in-memory layer.  When set, the least recently
         *used* entry (hit, loaded from disk, or inserted) is evicted once the
@@ -405,13 +306,12 @@ class SynopsisStore:
         self,
         directory: Optional[Union[str, Path]] = None,
         *,
-        format: str = "json",
+        format: str = "columnar",
         max_memory_entries: Optional[int] = None,
     ):
-        if format not in STORE_FORMATS:
+        if format != "columnar":
             raise SynopsisError(
-                f"unknown store format {format!r}; expected one of: "
-                f"{', '.join(STORE_FORMATS)}"
+                f"unknown store format {format!r}; stores persist as 'columnar' packs"
             )
         if max_memory_entries is not None and int(max_memory_entries) < 1:
             raise SynopsisError(
@@ -425,38 +325,22 @@ class SynopsisStore:
         self._max_memory_entries = (
             None if max_memory_entries is None else int(max_memory_entries)
         )
-        self._format = format
-        self._directory = None if directory is None else Path(directory)
-        self._disk: Optional[Union[_JsonDiskBackend, _ColumnarDiskBackend]] = None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            # Refuse to open a directory written in the other format: the
-            # lookups would all silently miss and every entry would rebuild.
-            pack_present = SynopsisPack.present(self._directory)
-            json_present = any(self._directory.glob("*.json"))
-            if format == "json" and pack_present and not json_present:
+        self._pack: Optional[SynopsisPack] = None
+        if directory is not None:
+            directory = Path(directory)
+            # Keys do not depend on the format, but a pack cannot read JSON
+            # entries: every lookup would miss and every entry would rebuild.
+            if not SynopsisPack.present(directory) and any(directory.glob("*.json")):
                 raise SynopsisError(
-                    f"{self._directory} holds a columnar pack store; open it "
-                    "with format='columnar'"
+                    f"{directory} holds a JSON store and no columnar pack; move "
+                    "its <key>.json entries into a pack first (README: "
+                    "'Migrating a JSON store')"
                 )
-            if format == "columnar" and json_present and not pack_present:
-                raise SynopsisError(
-                    f"{self._directory} holds a JSON store; open it with "
-                    "format='json'"
-                )
-            if format == "columnar":
-                self._disk = _ColumnarDiskBackend(self._directory)
-            else:
-                self._disk = _JsonDiskBackend(self._directory)
+            self._pack = SynopsisPack(directory)
         #: Per-store registry holding the canonical ``repro_store_*``
         #: counters; the daemon merges it into its ``metrics`` exposition.
         self.metrics = MetricsRegistry()
         self.stats = StoreStats(self.metrics)
-
-    @property
-    def format(self) -> str:
-        """The on-disk serialisation format (``json`` or ``columnar``)."""
-        return self._format
 
     def _remember(self, key: str, entry: _Entry) -> None:
         """Insert/refresh one memory entry, evicting beyond the LRU cap."""
@@ -480,10 +364,10 @@ class SynopsisStore:
         if entry is not None:
             self._memory.move_to_end(key)  # a hit is a use, in LRU terms
             return entry.synopsis
-        if self._disk is not None:
+        if self._pack is not None:
             start = time.perf_counter()
-            with span("store.disk_load", backend=self._disk.name):
-                loaded = self._disk.load(key)
+            with span("store.disk_load"):
+                loaded = self._pack.get(key)
             if loaded is not None:
                 self.stats.add_disk_load_seconds(time.perf_counter() - start)
                 synopsis, config = loaded
@@ -496,18 +380,18 @@ class SynopsisStore:
         config = dict(config or {})
         self._remember(key, _Entry(key, synopsis, config))
         self.stats.record_put()
-        if self._disk is not None:
-            self._disk.store(key, synopsis, config)
+        if self._pack is not None:
+            self._pack.put(key, synopsis, config)
 
     def __contains__(self, key: str) -> bool:
         if key in self._memory:
             return True
-        return self._disk is not None and self._disk.contains(key)
+        return self._pack is not None and key in self._pack
 
     def __len__(self) -> int:
         keys = set(self._memory)
-        if self._disk is not None:
-            keys.update(self._disk.keys())
+        if self._pack is not None:
+            keys.update(self._pack.keys())
         return len(keys)
 
     def clear_memory(self) -> None:
@@ -518,13 +402,12 @@ class SynopsisStore:
         """Drop the on-disk layer (in-memory entries survive).
 
         The companion of :meth:`clear_memory` for operational cache resets:
-        removes every entry of the store directory, so a subsequent miss
-        rebuilds and repersists.  The columnar backend compacts its pack
-        file back to the bare header (appended payload bytes are reclaimed,
-        the store stays open-able); a memory-only store is a no-op.
+        the pack is truncated back to its bare headers (appended payload
+        bytes are reclaimed, the store stays open-able), so a subsequent miss
+        rebuilds and repersists.  A memory-only store is a no-op.
         """
-        if self._disk is not None:
-            self._disk.clear()
+        if self._pack is not None:
+            self._pack.clear()
 
     # ------------------------------------------------------------------
     # The front door
@@ -536,22 +419,29 @@ class SynopsisStore:
             self._memory.move_to_end(key)
             return self._memory[key].synopsis
         cached = self.get(key)
-        if cached is not None and self._disk is not None:
-            self.stats.count_disk_hit(self._disk.name)
+        if cached is not None:
+            self.stats.count_disk_hit()
         return cached
 
-    def get_or_build_spec(
+    def get_or_build(
         self, data, spec: SynopsisSpec, *, fingerprint: Optional[str] = None
     ) -> Union[Synopsis, List[Synopsis]]:
         """The cached synopsis (or sweep of synopses) for a spec over ``data``.
 
-        Every budget of the spec is addressed independently —
+        Hits (memory or disk) skip the build entirely; misses build, persist
+        and return, and ``stats`` records which path served each call.  Every
+        budget of the spec is addressed independently —
         ``spec.store_key(fingerprint, budget)`` — so a sweep mixes hits and
-        misses freely; if *any* budget misses, the whole sweep is built in
-        one DP run and each result cached under its own per-budget key.
+        misses freely; if *any* budget misses, the missing budgets are built
+        in one DP run and each result cached under its own per-budget key.
         ``fingerprint`` lets callers that precomputed
         :func:`fingerprint_data` skip hashing the dataset entirely.
         """
+        if not isinstance(spec, SynopsisSpec):
+            raise SynopsisError(
+                f"get_or_build takes a SynopsisSpec, not {type(spec).__name__}: "
+                "pass SynopsisSpec(kind=..., budget=..., metric=...)"
+            )
         if fingerprint is None:
             fingerprint = fingerprint_data(data)
         with span("store.get_or_build", kind=spec.kind) as trace:
@@ -575,76 +465,3 @@ class SynopsisStore:
                     found[budget] = synopsis
             results = [found[budget] for budget in spec.budgets]
             return results if spec.is_sweep else results[0]
-
-    def get_or_build(
-        self,
-        data,
-        budget: Union[int, SynopsisSpec, None] = None,
-        *,
-        spec: Optional[SynopsisSpec] = None,
-        synopsis: str = "histogram",
-        metric: Union[str, ErrorMetric, MetricSpec] = ErrorMetric.SSE,
-        sanity: float = DEFAULT_SANITY,
-        method: str = "optimal",
-        kernel: str = DEFAULT_KERNEL,
-        epsilon: float = DEFAULT_EPSILON,
-        sse_variant: str = DEFAULT_SSE_VARIANT,
-        workload=None,
-        fingerprint: Optional[str] = None,
-    ) -> Union[Synopsis, List[Synopsis]]:
-        """The cached synopsis for this configuration, building it on a miss.
-
-        Preferred form: ``get_or_build(data, spec)`` (or ``spec=...``) with a
-        :class:`SynopsisSpec`.  The keyword form mirrors
-        :func:`repro.core.builders.build_synopsis` and simply assembles the
-        spec.  Hits (memory or disk) skip the build entirely; misses build,
-        persist and return.  ``stats`` records which path served each call.
-        ``fingerprint`` (a prior :func:`fingerprint_data` result for
-        ``data``) skips re-hashing the dataset; it composes with both forms.
-        """
-        if isinstance(budget, SynopsisSpec):
-            if spec is not None:
-                raise SynopsisError("pass the spec positionally or as spec=, not both")
-            spec = budget
-            budget = None
-        if spec is None:
-            if budget is None:
-                raise SynopsisError("get_or_build needs a budget or a SynopsisSpec")
-            spec = SynopsisSpec(
-                kind=synopsis,
-                budget=budget,
-                metric=metric,
-                sanity=sanity,
-                method=method,
-                kernel=kernel,
-                epsilon=epsilon,
-                sse_variant=sse_variant,
-                workload=workload,
-            )
-        else:
-            # The spec is the whole configuration: reject keyword arguments
-            # alongside it rather than silently ignoring them.
-            if workload is not None:
-                raise SynopsisError(
-                    "pass the workload inside the SynopsisSpec, not alongside it"
-                )
-            overridden = [
-                name
-                for name, value, default in (
-                    ("budget", budget, None),
-                    ("synopsis", synopsis, "histogram"),
-                    ("metric", metric, ErrorMetric.SSE),
-                    ("sanity", sanity, DEFAULT_SANITY),
-                    ("method", method, "optimal"),
-                    ("kernel", kernel, DEFAULT_KERNEL),
-                    ("epsilon", epsilon, DEFAULT_EPSILON),
-                    ("sse_variant", sse_variant, DEFAULT_SSE_VARIANT),
-                )
-                if value != default
-            ]
-            if overridden:
-                raise SynopsisError(
-                    f"the SynopsisSpec carries the full build configuration; "
-                    f"drop the conflicting argument(s): {', '.join(overridden)}"
-                )
-        return self.get_or_build_spec(data, spec, fingerprint=fingerprint)

@@ -11,7 +11,8 @@ Contents:
 * :mod:`repro.wavelets.nonsse` — the tabulated bottom-up restricted
   coefficient-tree dynamic program for non-SSE metrics (Theorem 8);
 * :mod:`repro.wavelets.reference` — the recursive memoised reference solver
-  the tabulated engine is equivalence-tested against;
+  the tabulated engine is equivalence-tested against (a test and benchmark
+  oracle, imported from that module and not exported here);
 * :mod:`repro.wavelets.leaf_errors` — the shared batched expected-leaf-error
   sweep both solvers evaluate through;
 * :mod:`repro.wavelets.baselines` — the sampled-world baseline of Figure 4.
@@ -41,7 +42,6 @@ from .nonsse import (
     restricted_wavelet_sweep,
     restricted_wavelet_synopsis,
 )
-from .reference import ReferenceWaveletDP
 from .sse import expected_sse_of_selection, sse_optimal_wavelet, top_coefficient_indices
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "restricted_wavelet_synopsis",
     "restricted_wavelet_sweep",
     "RestrictedWaveletDP",
-    "ReferenceWaveletDP",
     "expected_leaf_errors",
     "leaf_weight_vector",
     "sampled_world_wavelet",

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.io import synopsis_to_dict
+from repro.io.binary_format import SynopsisPack
 
 
 @pytest.fixture
@@ -45,23 +47,24 @@ class TestServeBuild:
         assert main(base) == 0
         second = capsys.readouterr().out
         assert "from cache" in second and "1 disk hits" in second
-        assert len(list(store.glob("*.json"))) == 1
+        assert len(SynopsisPack(store)) == 1
 
     def test_store_entry_is_valid_synopsis_json(self, model_path, tmp_path):
         store = tmp_path / "store"
         assert main(["serve-build", "--input", str(model_path), "--store", str(store),
                      "--budget", "5", "--synopsis", "wavelet"]) == 0
-        (entry_path,) = store.glob("*.json")
-        payload = json.loads(entry_path.read_text())
-        assert payload["config"]["synopsis"] == "wavelet"
-        assert payload["synopsis"]["synopsis"] == "wavelet"
+        pack = SynopsisPack(store)
+        (key,) = pack.keys()
+        synopsis, config = pack.get(key)
+        assert config["synopsis"] == "wavelet"
+        assert synopsis_to_dict(synopsis)["synopsis"] == "wavelet"
 
     def test_distinct_budgets_create_distinct_entries(self, model_path, tmp_path):
         store = tmp_path / "store"
         for budget in ("4", "8"):
             assert main(["serve-build", "--input", str(model_path), "--store", str(store),
                          "--budget", budget]) == 0
-        assert len(list(store.glob("*.json"))) == 2
+        assert len(SynopsisPack(store)) == 2
 
     def test_spec_file_replaces_flags_and_shares_cache(self, model_path, tmp_path, capsys):
         # A serialized SynopsisSpec must hit the cache entry the equivalent
@@ -76,7 +79,7 @@ class TestServeBuild:
                      "--spec", str(spec_path)]) == 0
         out = capsys.readouterr().out
         assert "from cache" in out and "expected SAE" in out
-        assert len(list(store.glob("*.json"))) == 1
+        assert len(SynopsisPack(store)) == 1
 
     def test_missing_budget_and_spec_is_an_error(self, model_path, tmp_path, capsys):
         assert main(["serve-build", "--input", str(model_path),
@@ -325,7 +328,7 @@ class TestColumnarStoreCli:
                 "--budget", "6", "--store-format", "columnar", "--point", "3"]
         assert main(base + ["--stats"]) == 0
         first = capsys.readouterr().out
-        assert "store stats [columnar]" in first and "1 builds" in first
+        assert "store stats:" in first and "1 builds" in first
 
         assert main(base + ["--stats"]) == 0  # a fresh process: disk hit
         second = capsys.readouterr().out
@@ -343,27 +346,40 @@ class TestColumnarStoreCli:
         for column in ("starts", "ends", "representatives"):
             assert column in out
 
-    def test_store_inspect_json_fallback(self, model_path, tmp_path, capsys):
+    def test_store_inspect_json_fallback(self, tmp_path, capsys):
+        # There is no JSON listing any more: a directory of retired
+        # <key>.json entries is reported as holding no pack, nothing is
+        # listed, and inspecting it writes nothing into it.
         store = tmp_path / "json"
-        assert main(["serve-build", "--input", str(model_path), "--store", str(store),
-                     "--budget", "6"]) == 0
-        capsys.readouterr()
-        assert main(["store", "inspect", "--store", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "json store" in out and "kind=histogram" in out
+        store.mkdir()
+        entry = f"{'0' * 64}.json"
+        (store / entry).write_text("{}")
+        assert main(["store", "inspect", "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert "no columnar pack store" in captured.err
+        assert captured.out == ""
+        assert [path.name for path in store.iterdir()] == [entry]
+        with pytest.raises(SystemExit):
+            main(["store", "inspect", "--store", str(store), "--format", "json"])
 
     def test_store_inspect_missing_directory_is_an_error(self, tmp_path, capsys):
         assert main(["store", "inspect", "--store", str(tmp_path / "absent")]) == 2
         assert "no store directory" in capsys.readouterr().err
 
     def test_format_mismatch_is_an_error(self, model_path, tmp_path, capsys):
-        store = tmp_path / "pack"
-        assert main(["serve-build", "--input", str(model_path), "--store", str(store),
-                     "--budget", "6", "--store-format", "columnar"]) == 0
-        capsys.readouterr()
+        # A retired JSON store (<key>.json entries, no pack) is refused, by
+        # the serving commands and by store inspect alike.
+        store = tmp_path / "legacy"
+        store.mkdir()
+        (store / f"{'0' * 64}.json").write_text("{}")
         assert main(["serve-build", "--input", str(model_path), "--store", str(store),
                      "--budget", "6"]) == 2
-        assert "columnar" in capsys.readouterr().err
+        assert "JSON store" in capsys.readouterr().err
+        assert main(["store", "inspect", "--store", str(store)]) == 2
+        assert "no columnar pack store" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["serve-build", "--input", str(model_path), "--store", str(store),
+                  "--budget", "6", "--store-format", "json"])
 
 
 class TestParser:

@@ -1,22 +1,24 @@
 """The columnar pack store: round-trips, corruption, eviction, fingerprint memo.
 
-Covers the binary format (:mod:`repro.io.binary_format`) and its integration
-into :class:`~repro.service.SynopsisStore`:
+Covers the binary format (:mod:`repro.io.binary_format`), the store's only
+on-disk format, and its integration into :class:`~repro.service.SynopsisStore`:
 
 * hypothesis property tests: every synopsis kind round-trips through the pack
   with **bit-identical** column arrays and identical batch-query answers, and
   the loaded views are read-only (mutation raises);
-* backend equivalence: synopses built through the store persist and reload
-  identically under both the JSON and the columnar backend, across all three
-  kinds x metrics x budgets;
+* reload equivalence: synopses built through the store reload from a fresh
+  store bit-identically, and answer like a JSON interchange round trip,
+  across all three kinds x metrics x budgets;
 * typed corruption: truncated packs, bad magic, unsupported versions, CRC
-  mismatches, torn index records and malformed JSON entries all surface as
+  mismatches, torn index records and malformed meta blobs all surface as
   :class:`~repro.StoreCorruptionError` naming the offending file;
-* serving behaviour: LRU eviction degrades to a columnar disk hit, stats
-  attribute timings and per-backend hits, format mismatches are rejected,
-  compaction reclaims superseded payload bytes.
+* serving behaviour: LRU eviction degrades to a disk hit, stats attribute
+  timings and disk hits, retired JSON stores and unknown formats are
+  rejected and migrated entries keep hitting, the disk path runs through
+  ``get``/``put``, compaction reclaims superseded payload bytes.
 """
 
+import json
 import zlib
 
 import numpy as np
@@ -32,8 +34,10 @@ from repro import (
     SynopsisSpec,
     WaveletSynopsis,
 )
+from repro.core.synopsis import synopsis_kinds
 from repro.datasets import zipf_value_pdf
 from repro.exceptions import SynopsisError
+from repro.io import synopsis_from_dict, synopsis_to_dict
 from repro.io.binary_format import (
     ALIGNMENT,
     PACK_VERSION,
@@ -211,7 +215,7 @@ class TestPackRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence: built-through-the-store synopses, both formats
+# Reload equivalence: built-through-the-store synopses, pack vs interchange
 # ----------------------------------------------------------------------
 MODEL = zipf_value_pdf(48, skew=1.1, uncertainty=0.3, seed=11)
 
@@ -235,15 +239,10 @@ class TestBackendEquivalence:
         self, tmp_path, kind, metric, budget
     ):
         spec = spec_for(kind, metric, budget)
-        json_store = SynopsisStore(tmp_path / "json", format="json")
-        columnar_store = SynopsisStore(tmp_path / "pack", format="columnar")
-        built = json_store.get_or_build(MODEL, spec)
-        columnar_store.get_or_build(MODEL, spec)
+        built = SynopsisStore(tmp_path).get_or_build(MODEL, spec)
+        from_json = synopsis_from_dict(synopsis_to_dict(built))
 
-        from_json = SynopsisStore(tmp_path / "json", format="json").get_or_build(
-            MODEL, spec
-        )
-        fresh = SynopsisStore(tmp_path / "pack", format="columnar")
+        fresh = SynopsisStore(tmp_path)
         from_pack = fresh.get_or_build(MODEL, spec)
         assert fresh.stats.builds == 0
         assert fresh.stats.disk_hits_by_backend == {"columnar": 1}
@@ -252,7 +251,9 @@ class TestBackendEquivalence:
         assert_same_answers(from_json, from_pack)
 
     def test_codec_registry_covers_every_kind(self):
-        assert codec_kinds() == ("histogram", "partitioned", "wavelet")
+        # The pack is the store's only on-disk format: a kind without a
+        # codec could be built but never stored.
+        assert codec_kinds() == synopsis_kinds()
 
 
 # ----------------------------------------------------------------------
@@ -346,16 +347,6 @@ class TestCorruption:
         (row,) = SynopsisPack(packed).describe(verify=True)
         assert row["crc_ok"] is False and "error" in row
 
-    def test_json_backend_raises_the_same_typed_error(self, tmp_path):
-        store = SynopsisStore(tmp_path, format="json")
-        store.get_or_build(MODEL, 3, metric="sae")
-        (entry,) = list(tmp_path.glob("*.json"))
-        entry.write_text("{not json")
-        fresh = SynopsisStore(tmp_path, format="json")
-        with pytest.raises(StoreCorruptionError) as info:
-            fresh.get_or_build(MODEL, 3, metric="sae")
-        assert info.value.path == entry
-
     def test_importable_from_the_package_root(self):
         import repro
 
@@ -373,23 +364,26 @@ class TestCorruption:
 
 
 # ----------------------------------------------------------------------
-# Serving behaviour: eviction, stats, format mismatch, compaction
+# Serving behaviour: eviction, stats, retired formats, compaction
 # ----------------------------------------------------------------------
+SAE3 = SynopsisSpec(budget=3, metric="sae")
+
+
 class TestStoreIntegration:
     def test_lru_eviction_degrades_to_columnar_disk_hit(self, tmp_path):
         store = SynopsisStore(tmp_path, format="columnar", max_memory_entries=1)
-        first = store.get_or_build(MODEL, 3, metric="sae")
-        store.get_or_build(MODEL, 5, metric="sae")  # evicts the budget-3 entry
+        first = store.get_or_build(MODEL, SAE3)
+        store.get_or_build(MODEL, SAE3.with_budget(5))  # evicts the budget-3 entry
         assert store.stats.evictions == 1
-        again = store.get_or_build(MODEL, 3, metric="sae")
+        again = store.get_or_build(MODEL, SAE3)
         assert store.stats.builds == 2  # the eviction did NOT force a rebuild
         assert store.stats.disk_hits_by_backend == {"columnar": 1}
         assert store.stats.disk_load_seconds > 0.0
         assert_same_answers(first, again)
 
     def test_build_seconds_accrue(self, tmp_path):
-        store = SynopsisStore(tmp_path, format="columnar")
-        store.get_or_build(MODEL, 3, metric="sae")
+        store = SynopsisStore(tmp_path)
+        store.get_or_build(MODEL, SAE3)
         assert store.stats.builds == 1
         assert store.stats.build_seconds > 0.0
         snapshot = store.stats.as_dict()
@@ -397,18 +391,90 @@ class TestStoreIntegration:
         assert snapshot["build_seconds"] == store.stats.build_seconds
 
     def test_format_mismatch_is_rejected_up_front(self, tmp_path):
-        SynopsisStore(tmp_path / "a", format="columnar").get_or_build(
-            MODEL, 3, metric="sae"
-        )
-        with pytest.raises(SynopsisError, match="columnar"):
-            SynopsisStore(tmp_path / "a", format="json")
-        SynopsisStore(tmp_path / "b", format="json").get_or_build(
-            MODEL, 3, metric="sae"
-        )
-        with pytest.raises(SynopsisError, match="json"):
-            SynopsisStore(tmp_path / "b", format="columnar")
-        with pytest.raises(SynopsisError, match="unknown store format"):
-            SynopsisStore(tmp_path / "c", format="parquet")
+        # A retired JSON store: <key>.json entries and no pack.  Opening it
+        # must fail loudly, not miss on every lookup and rebuild.
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / f"{'0' * 64}.json").write_text("{}")
+        with pytest.raises(SynopsisError, match="JSON store.*Migrating"):
+            SynopsisStore(legacy)
+        assert not SynopsisPack.present(legacy)
+        for retired in ("json", "parquet"):
+            with pytest.raises(SynopsisError, match="unknown store format"):
+                SynopsisStore(tmp_path / "new", format=retired)
+        # JSON files next to a pack (exported synopses, say) are not a store.
+        SynopsisStore(tmp_path / "new").get_or_build(MODEL, SAE3)
+        (tmp_path / "new" / "exported.json").write_text("{}")
+        reopened = SynopsisStore(tmp_path / "new")
+        reopened.get_or_build(MODEL, SAE3)
+        assert reopened.stats.disk_hits == 1
+
+    def test_migrated_json_entries_keep_hitting(self, tmp_path):
+        # The README's migration recipe: the <key>.json entries of a retired
+        # JSON store, put into a pack under their file stems, serve every
+        # lookup of a fresh store without a rebuild.
+        spec = SynopsisSpec(budget=(3, 5), metric="sae")
+        built = SynopsisStore().get_or_build(MODEL, spec)
+        legacy = tmp_path / "json"
+        legacy.mkdir()
+        fingerprint = fingerprint_data(MODEL)
+        for budget, synopsis in zip(spec.budgets, built):
+            key = spec.store_key(fingerprint, budget)
+            payload = {
+                "key": key,
+                "config": spec.canonical(budget),
+                "synopsis": synopsis_to_dict(synopsis),
+            }
+            (legacy / f"{key}.json").write_text(json.dumps(payload, indent=2))
+        with pytest.raises(SynopsisError, match="Migrating"):
+            SynopsisStore(legacy)
+
+        store = SynopsisStore(tmp_path / "pack")
+        for path in legacy.glob("*.json"):
+            payload = json.loads(path.read_text())
+            store.put(path.stem, synopsis_from_dict(payload["synopsis"]), payload["config"])
+        fresh = SynopsisStore(tmp_path / "pack")
+        served = fresh.get_or_build(MODEL, spec)
+        assert fresh.stats.builds == 0 and fresh.stats.disk_hits == 2
+        for original, loaded in zip(built, served):
+            assert_same_answers(original, loaded)
+
+    def test_get_and_put_are_the_disk_path(self, tmp_path, monkeypatch):
+        # Tracers time the store's load and put stages by wrapping the
+        # class's own get and put, so get_or_build must reach the pack
+        # through them.
+        calls = []
+        real_get = vars(SynopsisStore)["get"]
+        real_put = vars(SynopsisStore)["put"]
+
+        def get(self, key):
+            calls.append("get")
+            return real_get(self, key)
+
+        def put(self, key, synopsis, config=None):
+            calls.append("put")
+            return real_put(self, key, synopsis, config)
+
+        monkeypatch.setattr(SynopsisStore, "get", get)
+        monkeypatch.setattr(SynopsisStore, "put", put)
+        SynopsisStore(tmp_path).get_or_build(MODEL, SAE3)
+        assert calls == ["get", "put"]  # a miss looks up, then persists
+        calls.clear()
+        fresh = SynopsisStore(tmp_path)
+        fresh.get_or_build(MODEL, SAE3)
+        assert calls == ["get"] and fresh.stats.disk_hits == 1
+
+    def test_contains_and_len_read_the_pack(self, tmp_path):
+        SynopsisStore(tmp_path).get_or_build(MODEL, SAE3.with_budget((3, 5)))
+        keys = SynopsisPack(tmp_path).keys()
+        fresh = SynopsisStore(tmp_path)
+        assert len(fresh) == 2 and all(key in fresh for key in keys)
+        assert fresh.stats.disk_load_seconds == 0.0  # membership loads nothing
+        assert fresh.get(keys[0]) is not None
+        assert len(fresh) == 2  # in memory and on disk, counted once
+        fresh.clear_disk()
+        assert len(fresh) == 1
+        assert keys[0] in fresh and keys[1] not in fresh
 
     def test_superseding_put_and_compaction(self, tmp_path):
         pack = SynopsisPack(tmp_path)
@@ -427,15 +493,15 @@ class TestStoreIntegration:
         assert_columns_bit_identical(small, again)
 
     def test_clear_disk_truncates_the_pack(self, tmp_path):
-        store = SynopsisStore(tmp_path, format="columnar")
-        store.get_or_build(MODEL, 3, metric="sae")
+        store = SynopsisStore(tmp_path)
+        store.get_or_build(MODEL, SAE3)
         pack_file = tmp_path / SynopsisPack.PACK_NAME
         assert pack_file.stat().st_size > _HEADER.size
         store.clear_disk()
         assert pack_file.stat().st_size == _HEADER.size
         store.clear_memory()
-        rebuilt_store = SynopsisStore(tmp_path, format="columnar")
-        rebuilt_store.get_or_build(MODEL, 3, metric="sae")
+        rebuilt_store = SynopsisStore(tmp_path)
+        rebuilt_store.get_or_build(MODEL, SAE3)
         assert rebuilt_store.stats.builds == 1  # the entry really was dropped
 
     def test_pack_magic_constants(self, tmp_path):
@@ -476,8 +542,8 @@ class TestFingerprintMemo:
             lambda data: pytest.fail("fingerprint= should bypass hashing"),
         )
         store = SynopsisStore()
-        built = store.get_or_build(model, 3, metric="sae", fingerprint=digest)
-        again = store.get_or_build(model, 3, metric="sae", fingerprint=digest)
+        built = store.get_or_build(model, SAE3, fingerprint=digest)
+        again = store.get_or_build(model, SAE3, fingerprint=digest)
         assert again is built
         assert store.stats.builds == 1 and store.stats.memory_hits == 1
 

@@ -2,14 +2,14 @@
 
 The compiled kernels' contract has three legs, each pinned here:
 
-* **bit-identity** — whichever backend resolves (numba, the C library, or
-  the interpreted kernel source), the DP tables and SAE/SARE span costs it
+* **bit-identity** — whichever backend resolves (the C library or the
+  interpreted kernel source), the DP tables and SAE/SARE span costs it
   produces are ``array_equal`` to the numpy reference paths, never merely
   close;
 * **truthful availability** — with no backend, ``available_kernels()``
   omits the compiled kernels, ``resolve_kernel`` falls back loudly
-  (:class:`KernelFallbackWarning`), and nothing anywhere hard-imports
-  numba;
+  (:class:`KernelFallbackWarning`), and a missing C compiler raises
+  nothing at import or resolve time;
 * **the flat-oracle contract** — ``to_compiled_arrays()`` returns prefix
   arrays that reproduce ``costs_for_spans`` exactly for the quadratic
   oracles and ``None`` everywhere the closed form does not apply.
@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro import KernelFallbackWarning
 from repro._compiled import backend as backend_mod
-from repro._compiled import get_backend, numba_version, reset_backend
+from repro._compiled import get_backend, reset_backend
 from repro._compiled import kernels_py
 from repro.datasets import zipf_value_pdf
 from repro.exceptions import SynopsisError
@@ -91,31 +91,32 @@ class TestBackendResolution:
         assert backend.absolute_span_costs is kernels_py.absolute_span_costs
 
     def test_missing_forced_backend_degrades_to_none(self, clean_backend):
-        # Simulate "numba is not installed" regardless of this machine: the
-        # backend module's import fails, resolution returns None, nothing
-        # raises at import or resolve time.
-        clean_backend.setitem(
-            backend_mod._MODULES, "numba", "repro._compiled._no_such_backend"
-        )
-        clean_backend.setenv(backend_mod.BACKEND_ENV, "numba")
+        # Simulate "no C compiler" regardless of this machine: the backend
+        # module's import fails, resolution returns None, nothing raises at
+        # import or resolve time.
+        clean_backend.setitem(backend_mod._MODULES, "cc", "repro._compiled._no_such_backend")
+        clean_backend.setenv(backend_mod.BACKEND_ENV, "cc")
         assert get_backend() is None
 
     def test_auto_skips_broken_backends(self, clean_backend):
-        clean_backend.setitem(
-            backend_mod._MODULES, "numba", "repro._compiled._no_such_backend"
-        )
         clean_backend.setitem(backend_mod._MODULES, "cc", "repro._compiled._no_such_backend")
         clean_backend.setenv(backend_mod.BACKEND_ENV, "auto")
         assert get_backend() is None
 
-    def test_numba_version_reporting_is_truthful(self):
-        version = numba_version()
-        try:
-            import numba  # noqa: F401
-
-            assert version == numba.__version__
-        except ImportError:
-            assert version is None
+    def test_retired_numba_setting_resolves_like_auto(self, clean_backend):
+        # numba is no longer a backend: a leftover REPRO_COMPILED_BACKEND=numba
+        # resolves exactly as auto does (the C library when it builds).
+        assert "numba" not in backend_mod._MODULES
+        assert backend_mod._AUTO_ORDER == ("cc",)
+        clean_backend.setenv(backend_mod.BACKEND_ENV, "auto")
+        auto = get_backend()
+        reset_backend()
+        clean_backend.setenv(backend_mod.BACKEND_ENV, "numba")
+        stale = get_backend()
+        if auto is None:
+            assert stale is None
+        else:
+            assert stale is not None and stale.name == auto.name == "cc"
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +250,11 @@ class TestCompiledDPEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The interpreted kernel source (what numba compiles) vs the numpy kernels
+# The interpreted kernel source (what ckernels.c mirrors) vs the numpy kernels
 # ----------------------------------------------------------------------
 class TestInterpretedKernelSource:
-    """Run kernels_py directly so the numba source is validated even on
-    machines where numba itself is absent."""
+    """Run kernels_py directly so the algorithm the C library transliterates
+    is validated even on machines without a C compiler."""
 
     def _tables(self, cost_fn, max_buckets, fn):
         pa, pb, pc = (

@@ -31,6 +31,7 @@ from repro.cli import main
 from repro.core.workload import QueryWorkload
 from repro.exceptions import BudgetSweepWarning, SynopsisError, WorkerClampWarning
 from repro.io import synopsis_from_dict, synopsis_to_dict
+from repro.io.binary_format import SynopsisPack
 from repro.partition import BudgetAllocator, Partitioner, build_shards, shard_spans
 from repro.service import BatchQueryEngine, QueryBatch, SynopsisStore
 
@@ -585,9 +586,9 @@ class TestStoreResidency:
     def test_clear_disk_keeps_memory(self, data, tmp_path):
         store = SynopsisStore(tmp_path / "store")
         store.get_or_build(data, SynopsisSpec(budget=4))
-        assert list((tmp_path / "store").glob("*.json"))
+        assert len(SynopsisPack(tmp_path / "store")) == 1
         store.clear_disk()
-        assert not list((tmp_path / "store").glob("*.json"))
+        assert len(SynopsisPack(tmp_path / "store")) == 0
         store.get_or_build(data, SynopsisSpec(budget=4))
         assert store.stats.memory_hits == 1  # memory layer survived
         store.clear_memory()

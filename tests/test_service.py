@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from repro import QueryWorkload, build_synopsis
+from repro import QueryWorkload, SynopsisSpec, build_synopsis
 from repro.datasets import zipf_value_pdf
 from repro.evaluation.errors import per_item_expected_errors
 from repro.exceptions import EvaluationError
@@ -53,6 +53,8 @@ class TestFingerprint:
 
 
 class TestSynopsisStore:
+    SAE6 = SynopsisSpec(budget=6, metric="sae")
+
     def test_memory_hit_skips_rebuild(self, model, monkeypatch):
         store = SynopsisStore()
         calls = []
@@ -65,8 +67,8 @@ class TestSynopsisStore:
             return real_build(data, spec)
 
         monkeypatch.setattr(store_module, "build", spying_build)
-        first = store.get_or_build(model, 6, metric="sae")
-        second = store.get_or_build(model, 6, metric="sae")
+        first = store.get_or_build(model, self.SAE6)
+        second = store.get_or_build(model, self.SAE6)
         assert second is first
         assert calls == ["histogram"]
         assert store.stats.builds == 1
@@ -74,10 +76,10 @@ class TestSynopsisStore:
 
     def test_disk_hit_survives_process(self, model, tmp_path):
         store = SynopsisStore(tmp_path / "store")
-        built = store.get_or_build(model, 6, metric="sae")
+        built = store.get_or_build(model, self.SAE6)
         fresh = SynopsisStore(tmp_path / "store")
-        loaded = store.get_or_build(model, 6, metric="sae")  # memory hit
-        from_disk = fresh.get_or_build(model, 6, metric="sae")
+        loaded = store.get_or_build(model, self.SAE6)  # memory hit
+        from_disk = fresh.get_or_build(model, self.SAE6)
         assert loaded is built
         assert from_disk == built
         assert fresh.stats.builds == 0
@@ -85,10 +87,10 @@ class TestSynopsisStore:
 
     def test_distinct_configs_get_distinct_entries(self, model, tmp_path):
         store = SynopsisStore(tmp_path / "store")
-        a = store.get_or_build(model, 6, metric="sae")
-        b = store.get_or_build(model, 8, metric="sae")
-        c = store.get_or_build(model, 6, metric="ssre")
-        d = store.get_or_build(model, 6, synopsis="wavelet", metric="sae")
+        a = store.get_or_build(model, self.SAE6)
+        b = store.get_or_build(model, self.SAE6.with_budget(8))
+        c = store.get_or_build(model, SynopsisSpec(budget=6, metric="ssre"))
+        d = store.get_or_build(model, SynopsisSpec(kind="wavelet", budget=6, metric="sae"))
         assert store.stats.builds == 4
         assert a.bucket_count == 6 and b.bucket_count == 8
         assert c != a
@@ -97,55 +99,63 @@ class TestSynopsisStore:
 
     def test_workload_is_part_of_the_key(self, model):
         store = SynopsisStore()
-        uniform = store.get_or_build(model, 6, metric="sae")
+        uniform = store.get_or_build(model, self.SAE6)
         skewed = store.get_or_build(
-            model, 6, metric="sae",
-            workload=QueryWorkload.zipf_hotspot(model.domain_size, skew=1.5, seed=1),
+            model,
+            SynopsisSpec(
+                budget=6, metric="sae",
+                workload=QueryWorkload.zipf_hotspot(model.domain_size, skew=1.5, seed=1),
+            ),
         )
         assert store.stats.builds == 2
         assert skewed is not uniform
-        assert uniform is store.get_or_build(model, 6, metric="sae")
+        assert uniform is store.get_or_build(model, self.SAE6)
 
     def test_sanity_only_keys_relative_metrics(self, model):
         store = SynopsisStore()
-        first = store.get_or_build(model, 6, metric="sse", sanity=1.0)
-        assert store.get_or_build(model, 6, metric="sse", sanity=0.5) is first
+        first = store.get_or_build(model, SynopsisSpec(budget=6, metric="sse", sanity=1.0))
+        assert store.get_or_build(
+            model, SynopsisSpec(budget=6, metric="sse", sanity=0.5)
+        ) is first
         assert store.stats.builds == 1  # c is ignored by SSE, so no fragmentation
-        store.get_or_build(model, 6, metric="ssre", sanity=1.0)
-        store.get_or_build(model, 6, metric="ssre", sanity=0.5)
+        store.get_or_build(model, SynopsisSpec(budget=6, metric="ssre", sanity=1.0))
+        store.get_or_build(model, SynopsisSpec(budget=6, metric="ssre", sanity=0.5))
         assert store.stats.builds == 3  # but it changes the relative objectives
 
     def test_ignored_knobs_stay_out_of_the_key(self, model):
         store = SynopsisStore()
-        first = store.get_or_build(model, 6, metric="sae", sse_variant="fixed")
+
+        def sae6(**knobs):
+            return store.get_or_build(model, SynopsisSpec(budget=6, metric="sae", **knobs))
+
+        first = sae6(sse_variant="fixed")
         # Only the SSE oracle reads sse_variant; only optimal builds read the
         # kernel; epsilon only matters to the approximate scheme.
-        assert store.get_or_build(model, 6, metric="sae", sse_variant="paper") is first
-        assert store.get_or_build(model, 6, metric="sae", epsilon=0.5) is first
-        approx = store.get_or_build(model, 6, metric="sae", method="approximate")
-        assert store.get_or_build(
-            model, 6, metric="sae", method="approximate", kernel="exact"
-        ) is approx
+        assert sae6(sse_variant="paper") is first
+        assert sae6(epsilon=0.5) is first
+        approx = sae6(method="approximate")
+        assert sae6(method="approximate", kernel="exact") is approx
         assert store.stats.builds == 2
 
     def test_disk_writes_leave_no_scratch_files(self, model, tmp_path):
         store = SynopsisStore(tmp_path / "store")
-        store.get_or_build(model, 6, metric="sse")
-        (entry,) = (tmp_path / "store").iterdir()
-        assert entry.suffix == ".json"
+        store.get_or_build(model, SynopsisSpec(budget=6, metric="sse"))
+        names = sorted(entry.name for entry in (tmp_path / "store").iterdir())
+        assert names == ["synopses.idx", "synopses.pack"]
 
     def test_clear_memory_keeps_disk(self, model, tmp_path):
         store = SynopsisStore(tmp_path / "store")
-        built = store.get_or_build(model, 6, metric="sse")
+        spec = SynopsisSpec(budget=6, metric="sse")
+        built = store.get_or_build(model, spec)
         store.clear_memory()
-        again = store.get_or_build(model, 6, metric="sse")
+        again = store.get_or_build(model, spec)
         assert again == built
         assert store.stats.builds == 1
         assert store.stats.disk_hits == 1
 
     def test_stats_as_dict(self, model):
         store = SynopsisStore()
-        store.get_or_build(model, 4)
+        store.get_or_build(model, SynopsisSpec(budget=4))
         stats = store.stats.as_dict()
         assert stats["builds"] == 1 and stats["lookups"] == 1
 

@@ -29,6 +29,7 @@ from repro.core.metrics import ErrorMetric, MetricSpec
 from repro.core.synopsis import Synopsis, synopsis_class, synopsis_kinds
 from repro.core.workload import QueryWorkload
 from repro.exceptions import BudgetClampWarning, SynopsisError
+from repro.io.binary_format import SynopsisPack
 from repro.models.frequency import FrequencyDistributions
 from repro.models.values import ValueGrid
 from repro.service import SynopsisStore, fingerprint_data
@@ -167,16 +168,15 @@ class TestGoldenStoreKeys:
         # config.  The real-fingerprint case lets the store hash the
         # dataset itself.
         data = np.arange(16, dtype=float)
-        store = SynopsisStore(tmp_path, format="json")
+        store = SynopsisStore(tmp_path)
         built = store.get_or_build(
             data,
             _spec_of(kwargs, workload),
             fingerprint=None if fingerprint == _FP_VEC else fingerprint,
         )
-        assert [path.name for path in tmp_path.iterdir()] == [f"{key}.json"]
-        payload = json.loads((tmp_path / f"{key}.json").read_text())
-        assert payload["key"] == key
-        assert payload["config"] == config
+        pack = SynopsisPack(tmp_path)
+        assert pack.keys() == (key,)
+        assert pack.get(key)[1] == config
         assert store.get(key) is built
         assert store.stats.builds == 1
 
@@ -391,17 +391,7 @@ class TestSynopsisProtocol:
 
 
 class TestStoreSpecFrontDoor:
-    """get_or_build accepts specs, including budget sweeps with partial hits."""
-
-    def test_spec_and_kwargs_share_keys(self, tmp_path):
-        data = np.arange(32, dtype=float)
-        store = SynopsisStore(tmp_path)
-        spec = SynopsisSpec(budget=4, metric="sae")
-        first = store.get_or_build(data, spec)
-        second = store.get_or_build(data, 4, metric="sae")
-        assert second is first
-        assert store.stats.builds == 1
-        assert store.stats.memory_hits == 1
+    """get_or_build takes a spec, including budget sweeps with partial hits."""
 
     def test_sweep_builds_once_and_hits_after(self):
         data = np.arange(32, dtype=float)
@@ -426,15 +416,34 @@ class TestStoreSpecFrontDoor:
         assert results[1] is cached
 
     def test_workload_must_live_in_the_spec(self):
+        # The workload= keyword went with the keyword form: the spec is the
+        # only carrier of a workload, and a stray keyword is refused before
+        # any lookup or build.
+        data = np.arange(8.0)
         store = SynopsisStore()
         spec = SynopsisSpec(budget=2)
-        with pytest.raises(SynopsisError, match="inside the SynopsisSpec"):
-            store.get_or_build(np.arange(8.0), spec, workload=np.ones(8))
+        with pytest.raises(TypeError, match="workload"):
+            store.get_or_build(data, spec, workload=np.ones(8))
+        assert store.stats.lookups == 0 and len(store) == 0
+        weighted = SynopsisSpec(budget=2, workload=np.arange(1.0, 9.0))
+        assert store.get_or_build(data, weighted) is not store.get_or_build(data, spec)
+        assert store.stats.builds == 2
 
     def test_spec_rejects_conflicting_keyword_arguments(self):
+        # Nothing can contradict the spec any more: the old spellings that
+        # could (a budget next to spec=, a metric next to a spec) fail at the
+        # call, before any lookup, instead of one side silently winning.
         store = SynopsisStore()
         spec = SynopsisSpec(budget=4)
-        with pytest.raises(SynopsisError, match="budget"):
+        with pytest.raises(TypeError, match="spec"):
             store.get_or_build(np.arange(8.0), 8, spec=spec)
-        with pytest.raises(SynopsisError, match="metric"):
+        with pytest.raises(TypeError, match="metric"):
             store.get_or_build(np.arange(8.0), spec, metric="sae")
+        assert store.stats.lookups == 0 and len(store) == 0
+
+    def test_a_bare_budget_is_refused(self):
+        # The keyword form (get_or_build(data, 4, metric=...)) is gone; a
+        # leftover caller gets a typed error naming the spec, not an
+        # AttributeError from deep inside the lookup.
+        with pytest.raises(SynopsisError, match="takes a SynopsisSpec"):
+            SynopsisStore().get_or_build(np.arange(8.0), 4)
