@@ -13,21 +13,25 @@ the instance for CI):
 * **store** — wall-clock of a cold ``SynopsisStore.get_or_build`` (runs the
   histogram DP), of a disk hit (a columnar pack load) from a fresh store over
   the same directory, and of an in-memory hit.  The hits must actually skip
-  the build.
+  the build.  These figures are single-shot: the disk hit is the first pack
+  load of the process, which a repeat would no longer measure.
 * **histogram / wavelet serving** — a 10k-query mixed point/range workload
   answered by the per-query Python loop (the deployment baseline a naive
   integration would ship) and by the vectorised ``BatchQueryEngine.answer``
-  path.  The batch answers are checked to match the loop exactly before any
-  time is recorded.
+  path.  The batch answers are checked to match the loop before any time is
+  recorded.  Each serial and batch figure is timed :data:`REPEATS` times and
+  reported as its median with the min and max.
 
 The headline target this benchmark tracks: batch answering must beat the
-per-query loop by at least 10x on the histogram config.
+per-query loop by at least 10x on the histogram config, median against
+median.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -46,6 +50,9 @@ from repro.service import BatchQueryEngine, SynopsisStore, generate_query_mix, r
 #: Python loop by at least this factor on the histogram configuration.
 TARGET_SPEEDUP = 10.0
 SMOKE_TARGET_SPEEDUP = 3.0
+
+#: Timed runs behind each serial and batch figure.
+REPEATS = 5
 
 
 def bench_store(model, buckets, metric):
@@ -91,24 +98,39 @@ def bench_store(model, buckets, metric):
     }
 
 
+def timed(run):
+    """Wall seconds of each of ``REPEATS`` calls of ``run``."""
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run()
+        seconds.append(time.perf_counter() - start)
+    return seconds
+
+
+def spread(values, digits):
+    """The median of ``values`` with its min and max, rounded."""
+    return {
+        "median": round(statistics.median(values), digits),
+        "min": round(min(values), digits),
+        "max": round(max(values), digits),
+    }
+
+
 def bench_serving(name, synopsis, model, metric, batch):
     """Serial loop vs vectorised batch on one synopsis; answers must match."""
     engine = BatchQueryEngine.from_model(synopsis, model, metric)
 
-    serial_start = time.perf_counter()
-    serial_answers = engine.answer_serial(batch)
-    serial_seconds = time.perf_counter() - serial_start
-
-    batch_answers = engine.answer(batch)  # warm the coefficient geometry cache
-    batch_start = time.perf_counter()
-    batch_answers = engine.answer(batch)
-    batch_seconds = time.perf_counter() - batch_start
-
-    if not np.allclose(serial_answers, batch_answers):
+    # The check's batch call also warms the coefficient geometry cache.
+    if not np.allclose(engine.answer_serial(batch), engine.answer(batch)):
         raise AssertionError(f"{name}: batch answers diverge from the per-query loop")
+    serial = timed(lambda: engine.answer_serial(batch))
+    batched = timed(lambda: engine.answer(batch))
+    serial_seconds = statistics.median(serial)
+    batch_seconds = statistics.median(batched)
     speedup = serial_seconds / batch_seconds
     print(
-        f"[{name}] serial {serial_seconds:.4f}s "
+        f"[{name}] median of {REPEATS}: serial {serial_seconds:.4f}s "
         f"({len(batch) / serial_seconds:,.0f} q/s) | batch {batch_seconds:.4f}s "
         f"({len(batch) / batch_seconds:,.0f} q/s) | {speedup:.1f}x"
     )
@@ -117,10 +139,11 @@ def bench_serving(name, synopsis, model, metric, batch):
         "name": name,
         "queries": len(batch),
         "kind_counts": batch.kind_counts(),
-        "serial_seconds": round(serial_seconds, 6),
-        "serial_throughput_qps": round(len(batch) / serial_seconds, 1),
-        "batch_seconds": round(batch_seconds, 6),
-        "batch_throughput_qps": round(len(batch) / batch_seconds, 1),
+        "repeats": REPEATS,
+        "serial_seconds": spread(serial, 6),
+        "serial_throughput_qps": spread([len(batch) / value for value in serial], 1),
+        "batch_seconds": spread(batched, 6),
+        "batch_throughput_qps": spread([len(batch) / value for value in batched], 1),
         "batch_speedup_vs_serial": round(speedup, 2),
         "answers_match_serial": True,
         "chunked_replay": {

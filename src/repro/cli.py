@@ -40,14 +40,8 @@ Installed as ``repro-synopses``.  Sub-commands:
 ``serve``
     Run the asyncio serving daemon (:mod:`repro.service.server`): newline-
     delimited JSON over TCP, request coalescing into micro-batches,
-    admission control and graceful draining shutdown.
-
-``loadgen``
-    Attack a running daemon with the seeded multi-worker load generator
-    (:mod:`repro.service.loadgen`): closed-loop concurrency sweep, optional
-    open-loop overload burst, optional bit-identity verification against a
-    locally built engine; ``--output`` writes the ``BENCH_service.json``
-    report.
+    admission control and graceful draining shutdown on SIGINT/SIGTERM (or
+    on the wire ``shutdown`` op, with ``--allow-remote-shutdown``).
 
 ``telemetry``
     Scrape a running daemon's metrics over the wire ``metrics`` op and
@@ -111,18 +105,11 @@ _SERVING_DEFAULTS = {
 }
 
 
-def _serving_config_parser(*, required: bool) -> argparse.ArgumentParser:
-    """The shared serve-build/query/serve/loadgen build-configuration flags.
-
-    ``required=False`` (the ``loadgen`` surface) makes ``--input``/``--store``
-    optional: the load generator only needs a build configuration when it
-    verifies daemon answers against a locally built engine.
-    """
+def _serving_config_parser() -> argparse.ArgumentParser:
+    """The shared serve-build/query/serve build-configuration flags."""
     serving_config = argparse.ArgumentParser(add_help=False)
-    serving_config.add_argument("--input", required=required, default=None,
-                                help="model JSON file")
-    serving_config.add_argument("--store", required=required, default=None,
-                                help="synopsis store directory")
+    serving_config.add_argument("--input", required=True, help="model JSON file")
+    serving_config.add_argument("--store", required=True, help="synopsis store directory")
     serving_config.add_argument(
         "--store-format", choices=["columnar"], default="columnar",
         help="on-disk store format; the binary columnar pack (zero-copy mmap "
@@ -242,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="DP kernel for the histogram constructions",
     )
 
-    # serve-build / query / serve / loadgen -------------------------------
+    # serve-build / query / serve ------------------------------------------
     # Every serving-side subcommand resolves a synopsis through the store
     # under the same build configuration, shared via a parent parser so the
-    # surfaces cannot drift apart.  ``loadgen`` only needs the configuration
-    # for its optional --verify pass, hence ``required=False`` there.
-    serving_config = _serving_config_parser(required=True)
+    # surfaces cannot drift apart.
+    serving_config = _serving_config_parser()
     subparsers.add_parser(
         "serve-build", parents=[serving_config],
         help="build a synopsis through the serving-layer cache",
@@ -310,43 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="log a structured slow-query record (with the flush's "
                        "span tree) for any engine flush at or above this wall time")
-
-    # loadgen -------------------------------------------------------------
-    loadgen = subparsers.add_parser(
-        "loadgen", parents=[_serving_config_parser(required=False)],
-        help="attack a running daemon with the seeded load generator",
-    )
-    loadgen.add_argument("--connect", metavar="HOST:PORT", default=None,
-                         help="daemon address (overrides --host/--port)")
-    loadgen.add_argument("--host", default="127.0.0.1", help="daemon host")
-    loadgen.add_argument("--port", type=int, default=DEFAULT_PORT, help="daemon port")
-    loadgen.add_argument("--target", default=None,
-                         help="served target to query (default: the daemon's default)")
-    loadgen.add_argument("--levels", type=int, nargs="+", default=[1, 8, 32],
-                         metavar="C", help="closed-loop concurrency levels to sweep")
-    loadgen.add_argument("--queries", type=int, default=2000, metavar="N",
-                         help="queries per concurrency level")
-    loadgen.add_argument("--burst", type=int, default=0, metavar="N",
-                         help="open-loop overload burst of N queries (0 = skip)")
-    loadgen.add_argument("--burst-concurrency", type=int, default=8)
-    loadgen.add_argument("--burst-rate", type=float, default=5000.0,
-                         help="per-worker open-loop send rate (queries/sec)")
-    loadgen.add_argument("--verify", action="store_true",
-                         help="compare daemon answers bit-for-bit against a local "
-                         "engine (needs --input/--store and the build flags)")
-    loadgen.add_argument("--verify-queries", type=int, default=500)
-    loadgen.add_argument("--seed", type=int, default=7,
-                         help="run seed; (seed, worker stream) reproduces traffic "
-                         "bit-identically")
-    loadgen.add_argument("--mean-range-length", type=int, default=16)
-    loadgen.add_argument("--shutdown", action="store_true",
-                         help="ask the daemon to drain and exit afterwards "
-                         "(needs --allow-remote-shutdown on the daemon)")
-    loadgen.add_argument("--output", metavar="FILE", default=None,
-                         help="write the full report (BENCH_service.json shape) here")
-    loadgen.add_argument("--smoke", action="store_true",
-                         help="small CI preset: levels 1/4/8, 200 queries per level, "
-                         "a 300-query burst")
 
     # telemetry -----------------------------------------------------------
     telemetry = subparsers.add_parser(
@@ -730,104 +679,18 @@ def _daemon_address(args: argparse.Namespace):
     return args.host, args.port
 
 
-def _run_loadgen(args: argparse.Namespace) -> str:
-    """Attack a running daemon; optionally write the BENCH_service report."""
-    import json as json_module
-    from pathlib import Path
-
-    from .service import BatchQueryEngine, run_loadgen_sync
-
-    host, port = _daemon_address(args)
-
-    levels = list(args.levels)
-    queries = args.queries
-    burst = args.burst
-    verify_queries = args.verify_queries
-    if args.smoke:
-        levels = [1, 4, 8]
-        queries = min(queries, 200)
-        burst = burst or 300
-        verify_queries = min(verify_queries, 200)
-
-    verify_engine = None
-    if args.verify:
-        if not args.input or not args.store:
-            raise ReproError(
-                "--verify answers the stream locally too; give --input, --store "
-                "and the build flags the daemon was started with"
-            )
-        model = read_model(args.input)
-        _, spec, synopsis = _store_get_or_build(args, model)
-        verify_engine = BatchQueryEngine.from_model(
-            synopsis, model, spec.metric, workload=spec.workload
-        )
-
-    try:
-        report = run_loadgen_sync(
-            host,
-            port,
-            levels=levels,
-            queries_per_level=queries,
-            seed=args.seed,
-            mean_range_length=args.mean_range_length,
-            target=args.target,
-            burst=burst,
-            burst_concurrency=args.burst_concurrency,
-            burst_rate=args.burst_rate,
-            verify_engine=verify_engine,
-            verify_queries=verify_queries,
-            shutdown=args.shutdown,
-        )
-    except ConnectionRefusedError:
-        raise ReproError(f"no daemon is listening on {host}:{port}") from None
-
-    if args.output:
-        Path(args.output).write_text(
-            json_module.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-
-    lines = []
-    for level in report["levels"]:
-        latency = level["latency_ms"]
-        factor = level["coalescing_factor"]
-        coalescing = f"  coalescing {factor:.2f}x" if factor is not None else ""
-        lines.append(
-            f"c={level['concurrency']:<3} {level['qps']:>10,.0f} qps  "
-            f"p50 {latency['p50']:.3f}ms  p99 {latency['p99']:.3f}ms{coalescing}"
-        )
-    if "overload" in report:
-        over = report["overload"]
-        lines.append(
-            f"overload burst: {over['statuses']}, p99 {over['latency_ms']['p99']:.3f}ms, "
-            f"responsive after: {over['responsive_after']}"
-        )
-    if "verification" in report:
-        verification = report["verification"]
-        lines.append(
-            f"verification: bit_identical={verification['bit_identical']} over "
-            f"{verification['queries']} queries "
-            f"(max abs diff {verification['max_abs_diff']:.3g})"
-        )
-    if "shutdown" in report:
-        lines.append(f"daemon shutdown: {report['shutdown']}")
-    if args.output:
-        lines.append(f"wrote {args.output}")
-    return "\n".join(lines)
-
-
 def _run_telemetry(args: argparse.Namespace) -> str:
     """Scrape a daemon's wire ``metrics`` op and validate the exposition."""
     import asyncio
     from pathlib import Path
 
-    from .service import OP_METRICS
-    from .service.loadgen import LoadgenClient
+    from .service import OP_METRICS, DaemonClient
     from .telemetry import parse_prometheus_text
 
     host, port = _daemon_address(args)
 
     async def _scrape():
-        client = await LoadgenClient.connect(host, port)
+        client = await DaemonClient.connect(host, port)
         try:
             return await client.round_trip({"op": OP_METRICS})
         finally:
@@ -967,8 +830,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(_run_query(args))
         elif args.command == "serve":
             print(_serve(args))
-        elif args.command == "loadgen":
-            print(_run_loadgen(args))
         elif args.command == "telemetry":
             print(_run_telemetry(args))
         elif args.command == "store":

@@ -19,16 +19,18 @@ those synopses up against query traffic:
 * :class:`ServingDaemon` — the asyncio TCP daemon
   (:mod:`repro.service.server`): micro-batching request coalescer,
   admission control, graceful-degradation ladder, draining shutdown;
-* :func:`generate_query_mix` / :func:`replay` / :func:`run_loadgen` —
-  seeded workload generation and the closed/open-loop load harness
-  (:mod:`repro.service.loadgen`) behind ``BENCH_service.json``.
+* :class:`DaemonClient` — one wire connection to a running daemon
+  (:mod:`repro.service.client`), used by ``repro-synopses telemetry``;
+* :func:`generate_query_mix` / :func:`replay` — seeded workload generation
+  (per-stream, so concurrent clients draw independent reproducible queries)
+  and the in-process batch replay behind ``query --replay``.
 
 See the "serving layer" and "serving daemon" sections of DESIGN.md for
 keying, coalescing, admission-control and complexity notes.
 """
 
+from .client import DaemonClient
 from .engine import BatchQueryEngine, answer_batch, answer_serial
-from .loadgen import LoadgenClient, requests_from_batch, run_loadgen, run_loadgen_sync
 from .protocol import (
     MIN_PROTOCOL_VERSION,
     OP_METRICS,
@@ -75,8 +77,5 @@ __all__ = [
     "ServingDaemon",
     "ServingStats",
     "DEFAULT_PORT",
-    "LoadgenClient",
-    "run_loadgen",
-    "run_loadgen_sync",
-    "requests_from_batch",
+    "DaemonClient",
 ]

@@ -467,9 +467,9 @@ def encode_responses(
 def latency_summary(latencies_ms: Sequence[float]) -> Dict[str, float]:
     """The shared latency-report shape: p50/p95/p99/max in milliseconds.
 
-    Every latency report in the system — ``replay``, the load generator and
-    ``BENCH_service.json`` — goes through this one helper so the keys cannot
-    drift apart.
+    Every latency report of the serving layer — ``replay``, ``query
+    --replay`` and ``BENCH_serving.json`` — goes through this one helper so
+    the keys cannot drift apart.
     """
     values = np.asarray(latencies_ms if len(latencies_ms) else [0.0], dtype=float)
     return {

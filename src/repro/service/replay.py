@@ -12,10 +12,9 @@ This is the measurement harness behind ``repro-synopses query --replay`` and
 
 Determinism is end-to-end: a ``(seed, stream)`` pair names one query stream
 bit-identically across processes and machines (numpy's ``SeedSequence``
-spawn-key mechanism), which is what lets the multi-worker load generator
-(:mod:`repro.service.loadgen`) give every worker its own reproducible
-traffic and lets a verification pass regenerate exactly the stream a worker
-sent.
+spawn-key mechanism), which is what lets a multi-connection load generator
+give every connection its own reproducible traffic and lets a checker
+regenerate exactly the stream a connection sent.
 """
 
 from __future__ import annotations

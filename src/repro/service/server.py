@@ -118,6 +118,11 @@ MAX_LINE_BYTES = 64 * 1024
 
 _QUERY_FIELDS = frozenset(_REQUEST_FIELDS)
 
+#: The longest :meth:`ServingDaemon.stop` waits for open connections' replies
+#: to drain, and then for their handlers to exit: a client that never reads
+#: holds shutdown no longer than this.
+DRAIN_TIMEOUT_SECONDS = 10.0
+
 #: The ``repro_daemon_requests_total`` child counting lines that name no known
 #: op: unparseable, an unknown op, or oversized.
 _INVALID_OP = "invalid"
@@ -186,9 +191,8 @@ class DaemonConfig:
     cache (evicted targets degrade to a store re-resolution);
     ``build_on_miss`` decides the bottom rung of the degradation ladder
     (rebuild synchronously vs. reject with ``unavailable``);
-    ``attribute_errors`` controls whether responses carry per-query
-    expected-error mass (costs one exact per-item evaluation per target at
-    warm-up); ``slow_query_ms`` (``None`` = off) is the forensics threshold
+    ``allow_remote_shutdown`` honours the wire ``shutdown`` op;
+    ``slow_query_ms`` (``None`` = off) is the forensics threshold
     — any flush whose wall time reaches it emits one structured JSON record
     (query, coalesced batch size, degradation-ladder rung, span tree) on the
     ``repro.daemon.slow_query`` logger.
@@ -200,9 +204,7 @@ class DaemonConfig:
     max_batch: int = 4096
     max_engines: int = 8
     build_on_miss: bool = False
-    attribute_errors: bool = True
     allow_remote_shutdown: bool = False
-    drain_timeout: float = 10.0
     slow_query_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -211,8 +213,6 @@ class DaemonConfig:
         for name in ("max_pending", "max_inflight_per_client", "max_batch", "max_engines"):
             if int(getattr(self, name)) <= 0:
                 raise SynopsisError(f"{name} must be positive")
-        if self.drain_timeout <= 0:
-            raise SynopsisError("drain_timeout must be positive")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
             raise SynopsisError("slow_query_ms must be non-negative (or None to disable)")
 
@@ -468,28 +468,28 @@ class ServingDaemon:
     def warm(self) -> None:
         """Build (or fetch) every target through the store, once, up front.
 
-        Also computes each target's per-item expected errors when error
-        attribution is on; the vectors are kept independently of the engine
-        cache so an engine rebuilt after LRU eviction keeps its attribution
-        without re-running the exact evaluation.
+        Also computes each target's per-item expected errors, which every
+        answer's attributed error is read from; the vectors are kept
+        independently of the engine cache so an engine rebuilt after LRU
+        eviction keeps its attribution without re-running the exact
+        evaluation.
         """
         if self._warmed:
             return
+        from ..evaluation.errors import per_item_expected_errors
+
         for name, spec in self._targets.items():
             synopsis = self._store.get_or_build(
                 self._data, spec, fingerprint=self._fingerprint
             )
             self._domain_sizes[name] = synopsis.domain_size
-            if self._config.attribute_errors:
-                from ..evaluation.errors import per_item_expected_errors
-
-                self._errors[name] = per_item_expected_errors(
-                    self._data, synopsis, spec.metric, workload=spec.workload
-                )
+            self._errors[name] = per_item_expected_errors(
+                self._data, synopsis, spec.metric, workload=spec.workload
+            )
             self._cache_engine(
                 name,
                 BatchQueryEngine(
-                    synopsis, per_item_errors=self._errors.get(name), metric=spec.metric
+                    synopsis, per_item_errors=self._errors[name], metric=spec.metric
                 ),
             )
         self._warmed = True
@@ -582,8 +582,8 @@ class ServingDaemon:
 
         Every query already admitted is answered — pending batches are
         flushed immediately rather than waiting for their scheduled flush,
-        and the daemon waits (bounded by ``drain_timeout``) for every open
-        connection's replies to drain before closing connections.
+        and the daemon waits (bounded by :data:`DRAIN_TIMEOUT_SECONDS`) for
+        every open connection's replies to drain before closing connections.
         """
         if self._draining:
             if self._stopped is not None:
@@ -604,15 +604,16 @@ class ServingDaemon:
         drains = asyncio.gather(
             *(connection.writer.drain() for connection in connections), return_exceptions=True
         )
-        # A client that never reads its replies holds shutdown for drain_timeout at most.
+        # A client that never reads its replies holds shutdown for
+        # DRAIN_TIMEOUT_SECONDS at most.
         with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(drains, timeout=self._config.drain_timeout)
+            await asyncio.wait_for(drains, timeout=DRAIN_TIMEOUT_SECONDS)
         for connection in connections:
             connection.writer.close()
         # Closing the transports EOFs the readers; wait for the connection
         # handlers to notice and exit so loop teardown finds no stray tasks.
         if self._handler_tasks:
-            await asyncio.wait(list(self._handler_tasks), timeout=self._config.drain_timeout)
+            await asyncio.wait(list(self._handler_tasks), timeout=DRAIN_TIMEOUT_SECONDS)
         if self._server is not None:
             await self._server.wait_closed()
         log_event(

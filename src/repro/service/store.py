@@ -35,7 +35,6 @@ import json
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -269,13 +268,6 @@ class StoreStats:
         return f"StoreStats({self.as_dict()!r})"
 
 
-@dataclass
-class _Entry:
-    key: str
-    synopsis: Synopsis
-    config: Dict = field(default_factory=dict)
-
-
 class SynopsisStore:
     """In-memory + on-disk cache of built synopses, keyed by content.
 
@@ -321,7 +313,7 @@ class SynopsisStore:
         # arrays out of the heap gaps that make its peak memory vary.
         map_large_arrays()
         # Insertion/use order doubles as the LRU order: hits re-append.
-        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._memory: "OrderedDict[str, Synopsis]" = OrderedDict()
         self._max_memory_entries = (
             None if max_memory_entries is None else int(max_memory_entries)
         )
@@ -342,9 +334,9 @@ class SynopsisStore:
         self.metrics = MetricsRegistry()
         self.stats = StoreStats(self.metrics)
 
-    def _remember(self, key: str, entry: _Entry) -> None:
+    def _remember(self, key: str, synopsis: Synopsis) -> None:
         """Insert/refresh one memory entry, evicting beyond the LRU cap."""
-        self._memory[key] = entry
+        self._memory[key] = synopsis
         self._memory.move_to_end(key)
         if self._max_memory_entries is not None:
             while len(self._memory) > self._max_memory_entries:
@@ -360,28 +352,27 @@ class SynopsisStore:
         Disk loads still accrue into ``stats.disk_load_seconds`` so timing
         attribution survives callers that bypass ``get_or_build``.
         """
-        entry = self._memory.get(key)
-        if entry is not None:
+        synopsis = self._memory.get(key)
+        if synopsis is not None:
             self._memory.move_to_end(key)  # a hit is a use, in LRU terms
-            return entry.synopsis
+            return synopsis
         if self._pack is not None:
             start = time.perf_counter()
             with span("store.disk_load"):
                 loaded = self._pack.get(key)
             if loaded is not None:
                 self.stats.add_disk_load_seconds(time.perf_counter() - start)
-                synopsis, config = loaded
-                self._remember(key, _Entry(key, synopsis, config))
+                synopsis, _ = loaded
+                self._remember(key, synopsis)
                 return synopsis
         return None
 
     def put(self, key: str, synopsis: Synopsis, config: Optional[Dict] = None) -> None:
         """Insert a synopsis under an explicit key (memory and, if set, disk)."""
-        config = dict(config or {})
-        self._remember(key, _Entry(key, synopsis, config))
+        self._remember(key, synopsis)
         self.stats.record_put()
         if self._pack is not None:
-            self._pack.put(key, synopsis, config)
+            self._pack.put(key, synopsis, dict(config or {}))
 
     def __contains__(self, key: str) -> bool:
         if key in self._memory:
@@ -417,7 +408,7 @@ class SynopsisStore:
         if key in self._memory:
             self.stats.record_memory_hit()
             self._memory.move_to_end(key)
-            return self._memory[key].synopsis
+            return self._memory[key]
         cached = self.get(key)
         if cached is not None:
             self.stats.count_disk_hit()

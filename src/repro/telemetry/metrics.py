@@ -41,9 +41,8 @@ __all__ = [
 ]
 
 #: Shared latency bucket boundaries (milliseconds, upper bounds; +Inf is
-#: implicit).  The daemon's server-side histograms and the loadgen's
-#: client-side histograms both use these so the two distributions line up
-#: bucket-for-bucket in ``BENCH_service.json``.
+#: implicit), the default of every latency histogram the daemon and the
+#: engine keep, so their distributions line up bucket-for-bucket in a scrape.
 LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     0.05,
     0.1,

@@ -1,12 +1,30 @@
 """End-to-end CLI coverage: experiments, serve-build and query on tiny data."""
 
+import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
-from repro.io import synopsis_to_dict
+from repro.core.spec import SynopsisSpec
+from repro.io import read_model, synopsis_to_dict
 from repro.io.binary_format import SynopsisPack
+from repro.service import (
+    BatchQueryEngine,
+    DaemonClient,
+    QueryRequest,
+    SynopsisStore,
+    generate_query_mix,
+)
 
 
 @pytest.fixture
@@ -176,45 +194,113 @@ class TestQuery:
         assert "invalid query range" in capsys.readouterr().err
 
 
-class TestServeAndLoadgen:
-    def test_serve_loadgen_round_trip(self, model_path, tmp_path, capsys):
-        import threading
-        import time
+def _start_serve_thread(serve_args, ready):
+    """Run ``main(serve_args)`` on a thread; returns it once ``ready`` names
+    the bound ``host:port``."""
+    server = threading.Thread(target=main, args=(serve_args,), daemon=True)
+    server.start()
+    _wait_for_address(ready)
+    return server
 
+
+def _wait_for_address(ready):
+    deadline = time.monotonic() + 30.0
+    while not (ready.exists() and ready.read_text()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert ready.exists() and ready.read_text(), "the daemon never wrote its ready file"
+    host, _, port = ready.read_text().rpartition(":")
+    return host, int(port)
+
+
+def _over_the_wire(ready, talk):
+    """Run ``talk(client)`` against the daemon ``ready`` names; its result."""
+    host, port = _wait_for_address(ready)
+
+    async def session():
+        client = await DaemonClient.connect(host, port)
+        try:
+            return await talk(client)
+        finally:
+            await client.close()
+
+    return asyncio.run(session())
+
+
+def _remote_shutdown(ready):
+    """Stop a daemon started with --allow-remote-shutdown (the wire op)."""
+    ack = _over_the_wire(ready, lambda client: client.round_trip({"op": "shutdown"}))
+    assert ack["status"] == "draining"
+
+
+class TestServe:
+    def test_serve_round_trip(self, model_path, tmp_path, capsys):
         store = tmp_path / "store"
         ready = tmp_path / "ready.txt"
-        output = tmp_path / "BENCH_service.json"
         serve_args = ["serve", "--input", str(model_path), "--store", str(store),
                       "--budget", "6", "--port", "0", "--ready-file", str(ready),
-                      "--allow-remote-shutdown", "--also-budget", "10",
-                      "--max-pending", "32"]
-        server = threading.Thread(target=main, args=(serve_args,), daemon=True)
-        server.start()
-        deadline = time.monotonic() + 30.0
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert ready.exists(), "the daemon never wrote its ready file"
+                      "--allow-remote-shutdown", "--also-budget", "10"]
+        server = _start_serve_thread(serve_args, ready)
 
-        # --shutdown drains the daemon remotely, so the serve thread exits.
-        assert main(["loadgen", "--connect", ready.read_text(),
-                     "--levels", "1", "4", "--queries", "60",
-                     "--burst", "120", "--burst-concurrency", "4",
-                     "--target", "b10",
-                     "--verify", "--input", str(model_path), "--store", str(store),
-                     "--budget", "10", "--verify-queries", "30",
-                     "--shutdown", "--output", str(output)]) == 0
-        out = capsys.readouterr().out
+        batch = generate_query_mix(48, 30, seed=3)
+        requests = [
+            QueryRequest(id=f"v-{position}", kind=kind, start=start, end=end, target="b10")
+            for position, (kind, start, end) in enumerate(batch.as_tuples())
+        ]
+
+        async def ask(client):
+            return [await client.query(request) for request in requests]
+
+        responses = _over_the_wire(ready, ask)
+        _remote_shutdown(ready)
         server.join(timeout=30.0)
         assert not server.is_alive()
-        assert "bit_identical=True" in out
-        assert "daemon shutdown: draining" in out
+        assert "daemon drained and stopped: 30 queries answered" in capsys.readouterr().out
 
-        report = json.loads(output.read_text())
-        assert [level["concurrency"] for level in report["levels"]] == [1, 4]
-        assert report["target"] == "b10"
-        assert report["verification"]["bit_identical"] is True
-        assert report["overload"]["responsive_after"] is True
-        assert report["server_stats"]["queries_answered"] > 0
+        # The daemon's answers are the ones a local engine over the same
+        # store computes, bit for bit.
+        model = read_model(model_path)
+        spec = SynopsisSpec(kind="histogram", budget=10)
+        synopsis = SynopsisStore(store).get_or_build(model, spec)
+        engine = BatchQueryEngine.from_model(synopsis, model, spec.metric)
+        assert all(response.ok for response in responses)
+        assert np.array_equal([r.answer for r in responses], engine.answer(batch))
+        assert np.array_equal(
+            [r.expected_error for r in responses], engine.attribute_errors(batch)
+        )
+
+    def test_sigterm_drains_and_exits_cleanly(self, model_path, tmp_path):
+        ready = tmp_path / "ready.txt"
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), environment.get("PYTHONPATH")])
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--input", str(model_path),
+             "--store", str(tmp_path / "store"), "--budget", "6", "--port", "0",
+             "--ready-file", str(ready), "--log-level", "warning"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=environment,
+        )
+        try:
+            reply = _over_the_wire(ready, lambda client: client.query(QueryRequest.point("q", 3)))
+            assert reply.ok
+            daemon.send_signal(signal.SIGTERM)
+            out, err = daemon.communicate(timeout=30.0)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+        assert daemon.returncode == 0, err
+        assert "daemon drained and stopped: 1 queries answered" in out
+
+    def test_serve_requires_input_and_store(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--store", "s"])
+        assert exited.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--input", "m.json"])
+        assert exited.value.code == 2
+        assert "--store" in capsys.readouterr().err
 
     def test_serve_defaults_are_the_daemon_config_defaults(self):
         from repro.cli import _daemon_config
@@ -223,19 +309,11 @@ class TestServeAndLoadgen:
         args = build_parser().parse_args(["serve", "--input", "m.json", "--store", "s"])
         assert _daemon_config(args) == DaemonConfig()
 
-    def test_loadgen_without_daemon_is_an_error(self, capsys):
-        # Port 9 (discard) is never listening on loopback.
-        assert main(["loadgen", "--connect", "127.0.0.1:9", "--queries", "10"]) == 2
-        assert "no daemon is listening" in capsys.readouterr().err
-
 
 class TestTelemetryCommand:
     def test_serve_then_scrape_validates_and_writes_the_exposition(
         self, model_path, tmp_path, capsys
     ):
-        import threading
-        import time
-
         from repro.telemetry import parse_prometheus_text
 
         store = tmp_path / "store"
@@ -245,12 +323,7 @@ class TestTelemetryCommand:
                       "--budget", "6", "--port", "0", "--ready-file", str(ready),
                       "--allow-remote-shutdown", "--log-level", "warning",
                       "--slow-query-ms", "250"]
-        server = threading.Thread(target=main, args=(serve_args,), daemon=True)
-        server.start()
-        deadline = time.monotonic() + 30.0
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert ready.exists(), "the daemon never wrote its ready file"
+        server = _start_serve_thread(serve_args, ready)
 
         assert main(["telemetry", "--connect", ready.read_text(),
                      "--min-families", "12",
@@ -266,45 +339,31 @@ class TestTelemetryCommand:
         assert len(families) >= 12
         assert "repro_daemon_queries_answered_total" in families
 
-        assert main(["loadgen", "--connect", ready.read_text(),
-                     "--levels", "1", "--queries", "10", "--shutdown"]) == 0
+        _remote_shutdown(ready)
         server.join(timeout=30.0)
         assert not server.is_alive()
 
     def test_missing_required_family_is_an_error(self, model_path, tmp_path, capsys):
-        import threading
-        import time
-
         store = tmp_path / "store"
         ready = tmp_path / "ready.txt"
         serve_args = ["serve", "--input", str(model_path), "--store", str(store),
                       "--budget", "6", "--port", "0", "--ready-file", str(ready),
                       "--allow-remote-shutdown"]
-        server = threading.Thread(target=main, args=(serve_args,), daemon=True)
-        server.start()
-        deadline = time.monotonic() + 30.0
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert ready.exists()
+        server = _start_serve_thread(serve_args, ready)
         try:
             assert main(["telemetry", "--connect", ready.read_text(),
                          "--require", "not_a_real_family_total"]) == 2
             assert "not_a_real_family_total" in capsys.readouterr().err
         finally:
-            main(["loadgen", "--connect", ready.read_text(),
-                  "--levels", "1", "--queries", "5", "--shutdown"])
+            _remote_shutdown(ready)
             server.join(timeout=30.0)
 
     def test_scrape_without_daemon_is_an_error(self, capsys):
         assert main(["telemetry", "--connect", "127.0.0.1:9"]) == 2
         assert "no daemon is listening" in capsys.readouterr().err
 
-    def test_loadgen_verify_needs_the_build_flags(self, capsys):
-        assert main(["loadgen", "--connect", "127.0.0.1:9", "--verify"]) == 2
-        assert "--verify" in capsys.readouterr().err
-
-    def test_loadgen_bad_connect_is_an_error(self, capsys):
-        assert main(["loadgen", "--connect", "nonsense"]) == 2
+    def test_bad_connect_is_an_error(self, capsys):
+        assert main(["telemetry", "--connect", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
 
@@ -385,7 +444,7 @@ class TestColumnarStoreCli:
 class TestParser:
     def test_parser_lists_serving_subcommands(self):
         text = build_parser().format_help()
-        for command in ("serve-build", "query", "serve", "loadgen", "store"):
+        for command in ("serve-build", "query", "serve", "telemetry", "store"):
             assert command in text
 
     def test_store_format_choices(self):

@@ -15,20 +15,19 @@ import pytest
 
 from repro.core.spec import SynopsisSpec
 from repro.datasets import generate_sensor_readings
-from repro.exceptions import SynopsisError
+from repro.exceptions import ProtocolError, SynopsisError
 from repro.service import (
     PROTOCOL_VERSION,
     BatchQueryEngine,
+    DaemonClient,
     DaemonConfig,
-    LoadgenClient,
     QueryRequest,
+    QueryResponse,
     ServingDaemon,
     SynopsisStore,
     generate_query_mix,
-    run_loadgen,
     stream_rng,
 )
-from repro.service.loadgen import requests_from_batch
 
 DOMAIN = 64
 
@@ -79,7 +78,7 @@ class TestLifecycleAndOps:
         async def body(host, port):
             assert daemon.address == (host, port)
             assert port != 0
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 pong = await client.round_trip({"op": "ping"})
             finally:
@@ -92,7 +91,7 @@ class TestLifecycleAndOps:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 info = await client.round_trip({"op": "info"})
             finally:
@@ -110,7 +109,7 @@ class TestLifecycleAndOps:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 await client.query(QueryRequest.point("q", 3))
                 stats = await client.round_trip({"op": "stats"})
@@ -132,8 +131,11 @@ class TestLifecycleAndOps:
 
         async def body(host, port):
             batch = generate_query_mix(DOMAIN, 60, seed=5)
-            requests = requests_from_batch(batch, prefix="t")
-            client = await LoadgenClient.connect(host, port)
+            requests = [
+                QueryRequest(id=f"t-{position}", kind=kind, start=start, end=end)
+                for position, (kind, start, end) in enumerate(batch.as_tuples())
+            ]
+            client = await DaemonClient.connect(host, port)
             try:
                 got = [await client.query(request) for request in requests]
             finally:
@@ -149,6 +151,75 @@ class TestLifecycleAndOps:
         assert np.array_equal([r.answer for r in got], expected)
         assert np.array_equal([r.expected_error for r in got], expected_errors)
 
+    def test_every_target_carries_attributed_errors(self, daemon_factory, model):
+        # Warm-up computes per-item errors for every target, with no flag to
+        # turn it off: the wavelet sibling's answers carry them too.
+        daemon, store = daemon_factory()
+        wave = SynopsisSpec(kind="wavelet", budget=6, metric="sse")
+
+        async def body(host, port):
+            batch = generate_query_mix(DOMAIN, 40, seed=8)
+            requests = [
+                QueryRequest(id=f"w-{position}", kind=kind, start=start, end=end,
+                             target="wave")
+                for position, (kind, start, end) in enumerate(batch.as_tuples())
+            ]
+            client = await DaemonClient.connect(host, port)
+            try:
+                got = [await client.query(request) for request in requests]
+            finally:
+                await client.close()
+            return batch, got
+
+        batch, got = run(_with_daemon(daemon, body))
+        engine = BatchQueryEngine.from_model(
+            store.get_or_build(model, wave), model, wave.metric
+        )
+        assert all(response.ok for response in got)
+        assert np.array_equal([r.answer for r in got], engine.answer(batch))
+        errors = [r.expected_error for r in got]
+        assert np.array_equal(errors, engine.attribute_errors(batch))
+        assert max(errors) > 0.0
+
+
+class TestDaemonClient:
+    def test_query_rejects_a_reply_to_another_request(self, daemon_factory):
+        daemon, _ = daemon_factory()
+
+        async def body(host, port):
+            client = await DaemonClient.connect(host, port)
+            try:
+                # One reply is still unread, so the next query reads it.
+                await client.send(QueryRequest.point("early", 1).to_dict())
+                with pytest.raises(ProtocolError, match="does not match"):
+                    await client.query(QueryRequest.point("late", 2))
+                late = QueryResponse.from_dict(await client.recv())
+            finally:
+                await client.close()
+            return late
+
+        late = run(_with_daemon(daemon, body))
+        assert late.id == "late"
+        assert late.ok
+
+    def test_recv_after_the_daemon_closes_is_a_protocol_error(self, daemon_factory):
+        daemon, _ = daemon_factory(config=DaemonConfig(allow_remote_shutdown=True))
+
+        async def body():
+            host, port = await daemon.start(port=0)
+            client = await DaemonClient.connect(host, port)
+            try:
+                ack = await client.round_trip({"op": "shutdown"})
+                with pytest.raises(ProtocolError, match="closed the connection"):
+                    await asyncio.wait_for(client.recv(), timeout=10.0)
+            finally:
+                await client.close()
+            await asyncio.wait_for(daemon.serve_until_stopped(), timeout=10.0)
+            return ack
+
+        ack = run(body())
+        assert ack["status"] == "draining"
+
 
 class TestCoalescing:
     def test_concurrent_queries_share_engine_calls(self, daemon_factory):
@@ -156,7 +227,7 @@ class TestCoalescing:
 
         async def body(host, port):
             async def one(item):
-                client = await LoadgenClient.connect(host, port)
+                client = await DaemonClient.connect(host, port)
                 try:
                     return await client.query(QueryRequest.point(f"q{item}", item))
                 finally:
@@ -202,7 +273,7 @@ class TestCoalescing:
         )
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 for i in range(4):
                     await client.send(QueryRequest.point(i, i).to_dict())
@@ -221,7 +292,7 @@ class TestCoalescing:
         daemon, _ = daemon_factory(config=DaemonConfig(window_ms=10_000.0))
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 await client.send(QueryRequest.point("pending", 1).to_dict())
                 # Give the dispatcher a beat to admit and arm the window,
@@ -248,7 +319,7 @@ class TestAdmissionControl:
         )
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 for i in range(20):
                     await client.send(QueryRequest.point(i, i % DOMAIN).to_dict())
@@ -256,18 +327,22 @@ class TestAdmissionControl:
                     await asyncio.wait_for(client.recv(), timeout=5.0)
                     for _ in range(20)
                 ]
+                # The burst's rejections leave the connection usable.
+                pong = await asyncio.wait_for(client.round_trip({"op": "ping"}), 5.0)
             finally:
                 await client.close()
-            return replies
+            return replies, pong
 
-        replies = run(_with_daemon(daemon, body))
+        replies, pong = run(_with_daemon(daemon, body))
         statuses = [reply["status"] for reply in replies]
         assert statuses.count("overloaded") == 15
         assert statuses.count("ok") == 5
         for reply in replies:
             if reply["status"] == "overloaded":
                 assert "pending" in reply["detail"]
+        assert pong == {"op": "pong", "version": PROTOCOL_VERSION}
         assert daemon.stats.overloaded == 15
+        assert daemon.stats.internal_errors == 0
 
     def test_per_client_inflight_cap(self, daemon_factory):
         daemon, _ = daemon_factory(
@@ -276,7 +351,7 @@ class TestAdmissionControl:
         )
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 for i in range(10):
                     await client.send(QueryRequest.point(i, i % DOMAIN).to_dict())
@@ -318,7 +393,7 @@ class TestAdmissionControl:
                     read = daemon.stats.requests
                     await asyncio.sleep(0.2)
                 assert read < 200_000
-                client = await LoadgenClient.connect(host, port)
+                client = await DaemonClient.connect(host, port)
                 try:
                     pong = await asyncio.wait_for(client.round_trip({"op": "ping"}), 1.0)
                 finally:
@@ -346,7 +421,7 @@ class TestProtocolRejections:
             rest = await reader.read()  # EOF, not a reset
             writer.close()
             await writer.wait_closed()
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 pong = await client.round_trip({"op": "ping"})
             finally:
@@ -405,7 +480,7 @@ class TestProtocolRejections:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 missing = await client.query(
                     QueryRequest.point("m", 1, target="nope")
@@ -427,7 +502,7 @@ class TestProtocolRejections:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 refusal = await client.round_trip({"op": "shutdown"})
             finally:
@@ -444,7 +519,7 @@ class TestProtocolRejections:
 
         async def body():
             host, port = await daemon.start(port=0)
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 await client.query(QueryRequest.point("q", 1))
                 ack = await client.round_trip({"op": "shutdown"})
@@ -465,7 +540,7 @@ class TestDegradationLadder:
         daemon, store = daemon_factory(config=DaemonConfig(max_engines=1))
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 # Warm-up cached "wave" last; querying "default" evicts it,
                 # then querying "wave" again must re-resolve via the store.
@@ -483,7 +558,7 @@ class TestDegradationLadder:
         daemon, store = daemon_factory(config=DaemonConfig(max_engines=1))
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 # Evict "wave" from the engine cache and erase every copy of
                 # it: the bottom of the ladder is an explicit rejection, not
@@ -508,7 +583,7 @@ class TestDegradationLadder:
         )
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 await client.query(QueryRequest.point("a", 1))
                 store.clear_memory()
@@ -544,57 +619,8 @@ class TestDeterminism:
         assert legacy.as_tuples() == again.as_tuples()
 
 
-class TestLoadgenHarness:
-    def test_report_structure_coalescing_and_bit_identity(self, daemon_factory,
-                                                          model, spec):
-        daemon, store = daemon_factory(
-            config=DaemonConfig(allow_remote_shutdown=True, max_pending=16)
-        )
-
-        async def body():
-            host, port = await daemon.start(port=0)
-            synopsis = store.get_or_build(model, spec)
-            engine = BatchQueryEngine.from_model(synopsis, model, spec.metric)
-            report = await run_loadgen(
-                host,
-                port,
-                levels=(1, 4),
-                queries_per_level=80,
-                seed=3,
-                burst=120,
-                burst_concurrency=4,
-                burst_rate=40_000.0,
-                verify_engine=engine,
-                verify_queries=40,
-                shutdown=True,
-            )
-            await asyncio.wait_for(daemon.serve_until_stopped(), timeout=10.0)
-            return report
-
-        report = run(body())
-        assert report["protocol_version"] == PROTOCOL_VERSION
-        assert [level["concurrency"] for level in report["levels"]] == [1, 4]
-        for level in report["levels"]:
-            assert level["statuses"].get("ok") == level["queries"]
-            assert set(level["latency_ms"]) == {"p50", "p95", "p99", "max"}
-            assert level["qps"] > 0
-        # The c=4 closed loop coalesces: fewer engine calls than queries.
-        concurrent = report["levels"][1]
-        assert 0 < concurrent["engine_batches"] < concurrent["queries"]
-        overload = report["overload"]
-        assert overload["statuses"].get("overloaded", 0) > 0
-        assert overload["responsive_after"] is True
-        verification = report["verification"]
-        assert verification["bit_identical"] is True
-        assert verification["expected_errors_bit_identical"] is True
-        assert verification["max_abs_diff"] == 0.0
-        assert report["shutdown"] == "draining"
-        assert report["server_stats"]["queries_answered"] > 0
-
-
 class TestTelemetryIntegration:
-    """The wire ``metrics`` op, the loadgen latency histogram, and the
-    structured slow-query log."""
+    """The wire ``metrics`` op and the structured slow-query log."""
 
     REQUIRED_FAMILIES = (
         "repro_daemon_connections_total",
@@ -626,7 +652,7 @@ class TestTelemetryIntegration:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 for position in range(6):
                     await client.query(QueryRequest.point(f"q{position}", position))
@@ -668,7 +694,7 @@ class TestTelemetryIntegration:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 return await client.round_trip({"op": OP_METRICS})
             finally:
@@ -682,32 +708,13 @@ class TestTelemetryIntegration:
         }
         assert {"build.synopsis", "store.get_or_build", "store.build"} <= spans
 
-    def test_loadgen_reports_per_bucket_latency_histograms(self, daemon_factory):
-        from repro.telemetry import LATENCY_BUCKETS_MS
-
-        daemon, _ = daemon_factory()
-
-        async def body(host, port):
-            return await run_loadgen(
-                host, port, levels=[2], queries_per_level=40, seed=9,
-            )
-
-        report = run(_with_daemon(daemon, body))
-        histogram = report["levels"][0]["latency_histogram"]
-        assert histogram["upper_bounds"] == list(LATENCY_BUCKETS_MS)
-        assert len(histogram["counts"]) == len(LATENCY_BUCKETS_MS) + 1
-        assert histogram["count"] == sum(histogram["counts"]) == 40
-        latency = report["levels"][0]["latency_ms"]
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
-        json.dumps(report)  # the whole report stays JSON-serialisable
-
     def test_slow_query_log_carries_the_span_tree(self, daemon_factory, caplog):
         daemon, _ = daemon_factory(
             config=DaemonConfig(window_ms=1.0, slow_query_ms=0.0)
         )
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 response = await client.query(QueryRequest.point("slow", 5))
                 assert response.ok
@@ -738,7 +745,7 @@ class TestTelemetryIntegration:
         daemon, _ = daemon_factory(config=DaemonConfig(window_ms=1.0))
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 await client.query(QueryRequest.point("fast", 5))
             finally:
@@ -755,7 +762,7 @@ class TestTelemetryIntegration:
         daemon, _ = daemon_factory()
 
         async def body(host, port):
-            client = await LoadgenClient.connect(host, port)
+            client = await DaemonClient.connect(host, port)
             try:
                 await client.query(QueryRequest.point("q", 1))
             finally:
