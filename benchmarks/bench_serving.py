@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _env import environment
+from _env import environment, host_line
 from repro._version import __version__
 from repro.core.spec import SynopsisSpec
 from repro.core.workload import QueryWorkload
@@ -177,6 +177,8 @@ def main(argv=None) -> int:
     # the serving-path timings this benchmark tracks are metric-independent.
     metric = "sse"
     target = SMOKE_TARGET_SPEEDUP if args.smoke else TARGET_SPEEDUP
+    env = environment()
+    print(host_line(env))
 
     model = zipf_value_pdf(domain_size, skew=1.1, uncertainty=0.4, seed=42)
     workload = QueryWorkload.zipf_hotspot(domain_size, skew=1.2, hotspot=0, seed=7)
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
         "generated_by": "benchmarks/bench_serving.py",
         "version": __version__,
         "smoke": args.smoke,
-        "environment": environment(),
+        "environment": env,
         "config": {
             "domain_size": domain_size,
             "queries": query_count,

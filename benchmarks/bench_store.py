@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _env import environment
+from _env import environment, host_line
 from repro._version import __version__
 from repro.core.histogram import Histogram
 from repro.core.wavelet import WaveletSynopsis
@@ -217,6 +217,8 @@ def main(argv=None) -> int:
     terms = 1024 if args.smoke else 8192
     entries = 2_000 if args.smoke else 100_000
     speedup_target = SMOKE_COLD_START_SPEEDUP if args.smoke else TARGET_COLD_START_SPEEDUP
+    env = environment()
+    print(host_line(env))
 
     cold_start = bench_cold_start(domain_size, buckets, terms)
     large_store = bench_large_store(entries)
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
         "generated_by": "benchmarks/bench_store.py",
         "version": __version__,
         "smoke": args.smoke,
-        "environment": environment(),
+        "environment": env,
         "config": {
             "domain_size": domain_size,
             "buckets": buckets,

@@ -10,8 +10,7 @@ The public API re-exported here covers the typical workflow:
    (:class:`BasicModel`, :class:`TuplePdfModel`, :class:`ValuePdfModel`);
 2. describe the synopsis with a :class:`SynopsisSpec` (kind, budget,
    :class:`ErrorMetric`, construction knobs) and build it with
-   :func:`build` — or use the :func:`build_synopsis` /
-   :func:`build_histogram` / :func:`build_wavelet` keyword shims;
+   :func:`build`;
 3. evaluate it with :func:`expected_error`, or query it through the
    :class:`Synopsis` protocol (``estimates()``, ``range_sum_estimates``...).
 
@@ -34,9 +33,6 @@ from .core import (
     SynopsisSpec,
     WaveletSynopsis,
     build,
-    build_histogram,
-    build_synopsis,
-    build_wavelet,
     point_error,
     synopsis_kinds,
 )
@@ -95,9 +91,6 @@ __all__ = [
     "QueryWorkload",
     # builders and evaluation
     "build",
-    "build_synopsis",
-    "build_histogram",
-    "build_wavelet",
     "expected_error",
     "per_item_expected_errors",
     # exceptions and warnings

@@ -1,6 +1,6 @@
 """Core abstractions: metrics, specs, the synopsis protocol and builders."""
 
-from .builders import build, build_histogram, build_synopsis, build_wavelet, register_builder
+from .builders import build, register_builder
 from .histogram import Bucket, Histogram
 from .metrics import (
     DEFAULT_SANITY,
@@ -38,7 +38,4 @@ __all__ = [
     "synopsis_class",
     "synopsis_kinds",
     "build",
-    "build_synopsis",
-    "build_histogram",
-    "build_wavelet",
 ]

@@ -5,11 +5,6 @@
 (or, for a budget-sweep spec, one synopsis per budget — served by a single
 DP run).  Construction is dispatched through a per-kind builder registry, so
 a new synopsis kind plugs in with one :func:`register_builder` call.
-
-:func:`build_synopsis`, :func:`build_histogram` and :func:`build_wavelet`
-are thin keyword-argument shims over :func:`build`, kept so existing callers
-(and quick interactive use) keep working unchanged; they simply assemble the
-spec and delegate.
 """
 
 from __future__ import annotations
@@ -22,19 +17,11 @@ from ..exceptions import SynopsisError
 from ..models.base import ProbabilisticModel
 from ..models.frequency import FrequencyDistributions
 from ..telemetry import span
-from .histogram import Histogram
-from .metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
-from .spec import DEFAULT_EPSILON, DEFAULT_KERNEL, DEFAULT_SSE_VARIANT, SynopsisSpec
+from .metrics import ErrorMetric
+from .spec import SynopsisSpec
 from .synopsis import Synopsis
-from .wavelet import WaveletSynopsis
 
-__all__ = [
-    "build",
-    "build_synopsis",
-    "build_histogram",
-    "build_wavelet",
-    "register_builder",
-]
+__all__ = ["build", "register_builder"]
 
 DataLike = Union[ProbabilisticModel, FrequencyDistributions, np.ndarray, Sequence[float]]
 NormalisedData = Union[ProbabilisticModel, FrequencyDistributions]
@@ -92,7 +79,7 @@ def build(data: DataLike, spec: SynopsisSpec) -> Union[Synopsis, List[Synopsis]]
     if not isinstance(spec, SynopsisSpec):
         raise SynopsisError(
             f"build expects a SynopsisSpec, got {type(spec).__name__}; "
-            "use build_synopsis(...) for the keyword form"
+            "describe the synopsis as SynopsisSpec(kind=..., budget=...)"
         )
     if spec.kind not in _BUILDERS:
         # Builders outside repro.core register at import; the partitioned
@@ -115,23 +102,30 @@ def build(data: DataLike, spec: SynopsisSpec) -> Union[Synopsis, List[Synopsis]]
 
 @register_builder("histogram")
 def _build_histograms(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
+    """Histograms: the DP for the largest budget, or the approximate scheme.
+
+    Both methods share one cost oracle.  The optimal method resolves a DP
+    kernel for it (``"auto"`` picks the fastest one the oracle certifies;
+    unsuitable explicit names fall back) and reads every budget of a sweep
+    off one solve.
+    """
     from ..histograms.approx import approximate_histogram
-    from ..histograms.factory import make_cost_function, solve_histogram_dp
+    from ..histograms.factory import make_cost_function
+    from ..histograms.kernels import resolve_kernel
 
     budgets = spec.budgets
-    if spec.method == "approximate":
+    with span("build.cost_oracle", metric=str(spec.metric)):
         cost_fn = make_cost_function(
             data, spec.metric, sse_variant=spec.sse_variant, workload=spec.workload
         )
+    if spec.method == "approximate":
         return [approximate_histogram(cost_fn, b, spec.epsilon) for b in budgets]
-    dp = solve_histogram_dp(
-        data,
-        spec.metric,
-        max(budgets),
-        kernel=spec.kernel,
-        sse_variant=spec.sse_variant,
-        workload=spec.workload,
-    )
+    max_buckets = max(budgets)
+    with span("build.kernel_resolve", requested=spec.kernel) as resolve_trace:
+        solver = resolve_kernel(spec.kernel, cost_fn)
+        resolve_trace.set(kernel=solver.name)
+    with span("build.dp", kernel=solver.name, buckets=max_buckets, n=cost_fn.domain_size):
+        dp = solver.solve(cost_fn, max_buckets)
     return [dp.histogram(min(b, dp.max_buckets)) for b in budgets]
 
 
@@ -154,95 +148,3 @@ def _build_wavelets(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
     if spec.metric.metric is ErrorMetric.SSE and spec.workload is None:
         return [sse_optimal_wavelet(data, b) for b in budgets]
     return restricted_wavelet_sweep(data, list(budgets), spec.metric, workload=spec.workload)
-
-
-# ----------------------------------------------------------------------
-# Keyword-argument shims (the pre-spec API surface, kept stable)
-# ----------------------------------------------------------------------
-def build_synopsis(
-    data: DataLike,
-    budget: Union[int, Sequence[int]],
-    *,
-    synopsis: str = "histogram",
-    metric: Union[str, ErrorMetric, MetricSpec] = ErrorMetric.SSE,
-    sanity: float = DEFAULT_SANITY,
-    method: str = "optimal",
-    kernel: str = DEFAULT_KERNEL,
-    epsilon: float = DEFAULT_EPSILON,
-    sse_variant: str = DEFAULT_SSE_VARIANT,
-    workload=None,
-) -> Union[Synopsis, List[Synopsis]]:
-    """Build a histogram or wavelet synopsis of probabilistic data.
-
-    Keyword shim over :func:`build`: the arguments are exactly the fields of
-    :class:`SynopsisSpec` (see there for semantics); the spec is assembled
-    and validated here, so malformed configurations fail before any data is
-    touched.  A sequence of budgets returns one synopsis per budget, with
-    the whole sweep served by a single DP run where the kind supports it.
-    """
-    spec = SynopsisSpec(
-        kind=synopsis,
-        budget=budget,
-        metric=metric,
-        sanity=sanity,
-        method=method,
-        kernel=kernel,
-        epsilon=epsilon,
-        sse_variant=sse_variant,
-        workload=workload,
-    )
-    return build(data, spec)
-
-
-def build_histogram(
-    data: DataLike,
-    buckets: Union[int, Sequence[int]],
-    metric: Union[str, ErrorMetric, MetricSpec] = ErrorMetric.SSE,
-    *,
-    sanity: float = DEFAULT_SANITY,
-    method: str = "optimal",
-    kernel: str = DEFAULT_KERNEL,
-    epsilon: float = DEFAULT_EPSILON,
-    sse_variant: str = DEFAULT_SSE_VARIANT,
-    workload=None,
-) -> Histogram:
-    """Build a ``buckets``-bucket histogram synopsis of probabilistic data.
-
-    Thin wrapper over :func:`build_synopsis` with ``synopsis="histogram"``;
-    see there for the parameters.
-    """
-    return build_synopsis(
-        data,
-        buckets,
-        synopsis="histogram",
-        metric=metric,
-        sanity=sanity,
-        method=method,
-        kernel=kernel,
-        epsilon=epsilon,
-        sse_variant=sse_variant,
-        workload=workload,
-    )
-
-
-def build_wavelet(
-    data: DataLike,
-    coefficients: Union[int, Sequence[int]],
-    metric: Union[str, ErrorMetric, MetricSpec] = ErrorMetric.SSE,
-    *,
-    sanity: float = DEFAULT_SANITY,
-    workload=None,
-) -> WaveletSynopsis:
-    """Build a ``coefficients``-term Haar wavelet synopsis of probabilistic data.
-
-    Thin wrapper over :func:`build_synopsis` with ``synopsis="wavelet"``;
-    see there for the parameters.
-    """
-    return build_synopsis(
-        data,
-        coefficients,
-        synopsis="wavelet",
-        metric=metric,
-        sanity=sanity,
-        workload=workload,
-    )

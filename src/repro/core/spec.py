@@ -586,10 +586,6 @@ class SynopsisSpec:
                     config["sse_variant"] = self.sse_variant
         return config
 
-    def canonical_json(self, budget: Optional[int] = None) -> str:
-        """Compact, sorted JSON of :meth:`canonical` (stable across processes)."""
-        return json.dumps(self.canonical(budget), sort_keys=True, separators=(",", ":"))
-
     def store_key(self, fingerprint: str, budget: Optional[int] = None) -> str:
         """Content-address of this spec over a dataset fingerprint.
 

@@ -16,8 +16,8 @@ errors:
 
 All of the paper's prefix-array bucket-cost machinery carries over because the
 weights multiply per-item quantities (see the ``workload`` parameter of
-:func:`repro.histograms.factory.make_cost_function` and
-:func:`repro.core.builders.build_histogram`).  A uniform workload (all weights
+:func:`repro.histograms.factory.make_cost_function` and the ``workload`` field
+of :class:`repro.core.spec.SynopsisSpec`).  A uniform workload (all weights
 equal to one) reproduces the unweighted objectives exactly, which the
 test-suite verifies.
 """

@@ -47,11 +47,6 @@ class TimingResult:
     def as_rows(self) -> List[dict]:
         return [dataclasses.asdict(point) for point in self.points]
 
-    def is_monotone_increasing(self) -> bool:
-        """Whether measured time grows with the swept parameter (sanity check)."""
-        seconds = [p.seconds for p in self.points]
-        return all(b >= a * 0.5 for a, b in zip(seconds, seconds[1:]))
-
 
 def _time_construction(
     model: ProbabilisticModel, spec: MetricSpec, buckets: int, kernel: str

@@ -8,9 +8,9 @@ metric.  A *DP kernel* (:mod:`repro.histograms.kernels`) sweeps the
 bucket-boundary recurrence against that batch interface; the registry holds
 interchangeable kernels (``exact``, ``vectorized``, ``divide_conquer``) that
 differ only in speed, never in the optimum.  The generic dynamic program
-(:func:`optimal_histogram`), its budget-sweeping variant, and the
-``(1+eps)`` approximate construction all work against these interfaces, as
-do the deterministic substrate and the naive baselines.
+(:func:`solve_dynamic_program`, whose one solve serves every budget up to its
+largest), the ``(1+eps)`` approximate construction, the deterministic
+substrate and the naive baselines all work against these interfaces.
 """
 
 from .absolute import WeightedAbsoluteCost
@@ -27,12 +27,10 @@ from .deterministic import (
 from .dp import (
     DynamicProgramResult,
     histogram_from_boundaries,
-    optimal_boundaries,
     optimal_histogram,
-    optimal_histograms_for_budgets,
     solve_dynamic_program,
 )
-from .factory import make_cost_function, solve_histogram_dp
+from .factory import make_cost_function
 from .kernels import (
     CompiledDivideConquerKernel,
     CompiledVectorizedKernel,
@@ -63,7 +61,6 @@ __all__ = [
     "get_kernel",
     "resolve_kernel",
     "available_kernels",
-    "solve_histogram_dp",
     "SseCost",
     "SsreCost",
     "SaeCost",
@@ -74,9 +71,7 @@ __all__ = [
     "make_cost_function",
     "DynamicProgramResult",
     "solve_dynamic_program",
-    "optimal_boundaries",
     "optimal_histogram",
-    "optimal_histograms_for_budgets",
     "histogram_from_boundaries",
     "approximate_boundaries",
     "approximate_histogram",

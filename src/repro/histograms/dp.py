@@ -13,21 +13,21 @@ delegated to a pluggable kernel (:mod:`repro.histograms.kernels`): the
 ``exact`` reference row sweep, the ``vectorized`` whole-row broadcast, or the
 ``divide_conquer`` monotone split-point scheme — all exact, differing only in
 speed.  Every function here accepts a ``kernel`` name (default ``"auto"``,
-which picks the fastest kernel suitable for the oracle).
+which picks the fastest kernel suitable for the oracle).  One solve serves a
+whole budget sweep: :class:`DynamicProgramResult` reads the optimal error,
+bucketing and histogram off for every budget up to the largest.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..core.histogram import Bucket, Histogram
 from .cost_base import BucketCostFunction
 from .kernels import AUTO_KERNEL, DynamicProgramResult, resolve_kernel
 
 __all__ = [
-    "optimal_boundaries",
     "optimal_histogram",
-    "optimal_histograms_for_budgets",
     "histogram_from_boundaries",
     "solve_dynamic_program",
     "DynamicProgramResult",
@@ -48,14 +48,6 @@ def solve_dynamic_program(
     return resolve_kernel(kernel, cost_fn).solve(cost_fn, max_buckets)
 
 
-def optimal_boundaries(
-    cost_fn: BucketCostFunction, buckets: int, kernel: str = AUTO_KERNEL
-) -> List[Tuple[int, int]]:
-    """Optimal bucket spans for a single budget."""
-    result = solve_dynamic_program(cost_fn, buckets, kernel)
-    return result.boundaries(min(buckets, cost_fn.domain_size))
-
-
 def histogram_from_boundaries(
     cost_fn: BucketCostFunction, boundaries: Sequence[Tuple[int, int]]
 ) -> Histogram:
@@ -73,18 +65,3 @@ def optimal_histogram(
     """The optimal ``buckets``-bucket histogram under the oracle's objective."""
     result = solve_dynamic_program(cost_fn, buckets, kernel)
     return result.histogram(min(buckets, cost_fn.domain_size))
-
-
-def optimal_histograms_for_budgets(
-    cost_fn: BucketCostFunction, budgets: Sequence[int], kernel: str = AUTO_KERNEL
-) -> List[Histogram]:
-    """Optimal histograms for several budgets from one DP run.
-
-    The Figure 2 experiments sweep the budget; solving the DP once for the
-    largest budget and reading off every smaller one is ``B`` times cheaper
-    than re-solving per budget.
-    """
-    if not budgets:
-        return []
-    result = solve_dynamic_program(cost_fn, max(budgets), kernel)
-    return [result.histogram(min(b, cost_fn.domain_size)) for b in budgets]

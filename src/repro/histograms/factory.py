@@ -1,19 +1,14 @@
-"""Factory mapping an error metric to its bucket-cost oracle and DP solver.
+"""Factory mapping an error metric to its bucket-cost oracle.
 
-Keeping the mapping in one place means the top-level builders, the baselines
-and the experiment harness all agree on which oracle implements which metric
-(and on how the SSE variant and sanity constant are threaded through).
-:func:`solve_histogram_dp` is the one-call composition — oracle construction
-plus a kernel-registry dispatch of the dynamic program — that the unified
-:func:`repro.core.builders.build_synopsis` entry point and the experiment
-runners are built on.
+Keeping the mapping in one place means the histogram builder behind
+:func:`repro.core.builders.build`, the baselines and the experiment harness
+all agree on which oracle implements which metric (and on how the SSE variant
+and sanity constant are threaded through).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,16 +18,14 @@ from ..exceptions import SynopsisError
 from ..models.base import ProbabilisticModel
 from ..models.frequency import FrequencyDistributions
 from ..models.tuple_pdf import TuplePdfModel
-from ..telemetry import span
 from .cost_base import BucketCostFunction
-from .kernels import AUTO_KERNEL, DynamicProgramResult, resolve_kernel
 from .max_error import MaxAbsoluteCost, MaxAbsoluteRelativeCost
 from .sae import SaeCost
 from .sare import SareCost
 from .sse import SseCost
 from .ssre import SsreCost
 
-__all__ = ["make_cost_function", "solve_histogram_dp"]
+__all__ = ["make_cost_function"]
 
 
 def make_cost_function(
@@ -92,31 +85,3 @@ def make_cost_function(
     if metric_enum is ErrorMetric.MARE:
         return MaxAbsoluteRelativeCost(distributions, sanity=spec.sanity, workload=weights)
     raise SynopsisError(f"no histogram cost oracle for metric {metric_enum!r}")  # pragma: no cover
-
-
-def solve_histogram_dp(
-    data: Union[ProbabilisticModel, FrequencyDistributions],
-    metric: Union[str, ErrorMetric, MetricSpec],
-    max_buckets: int,
-    *,
-    kernel: str = AUTO_KERNEL,
-    sanity: float = 1.0,
-    sse_variant: str = "fixed",
-    workload: Union[QueryWorkload, Sequence[float], np.ndarray, None] = None,
-) -> DynamicProgramResult:
-    """Build the cost oracle for ``metric`` and run the histogram DP on it.
-
-    The kernel registry picks the solver (``kernel="auto"`` selects the
-    fastest one the oracle certifies; explicit names fall back when
-    unsuitable).  Returns the full DP table, from which the optimal
-    histogram for any budget up to ``max_buckets`` can be read off.
-    """
-    with span("build.cost_oracle", metric=str(metric)):
-        cost_fn = make_cost_function(
-            data, metric, sanity=sanity, sse_variant=sse_variant, workload=workload
-        )
-    with span("build.kernel_resolve", requested=kernel) as resolve_trace:
-        solver = resolve_kernel(kernel, cost_fn)
-        resolve_trace.set(kernel=solver.name)
-    with span("build.dp", kernel=solver.name, buckets=max_buckets, n=cost_fn.domain_size):
-        return solver.solve(cost_fn, max_buckets)

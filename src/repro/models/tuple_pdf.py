@@ -17,7 +17,7 @@ is the special case of single-alternative tuples (see
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -243,17 +243,8 @@ class TuplePdfModel(ProbabilisticModel):
         return frequencies
 
     # ------------------------------------------------------------------
-    # Conversions / constructors
+    # Conversions
     # ------------------------------------------------------------------
-    @classmethod
-    def from_alternative_lists(
-        cls,
-        alternative_lists: Sequence[Sequence[Tuple[int, float]]],
-        domain_size: Optional[int] = None,
-    ) -> "TuplePdfModel":
-        """Build from raw per-row alternative lists."""
-        return cls(alternative_lists, domain_size=domain_size)
-
     def to_value_pdf(self):
         """Induced value-pdf model (marginals only; correlations are dropped)."""
         from .value_pdf import ValuePdfModel

@@ -10,9 +10,9 @@ those synopses up against query traffic:
   disk as one columnar pack with mmap loads, keyed by
   ``SynopsisSpec.canonical()``) so every (dataset, spec) pair pays its
   dynamic program exactly once;
-* :class:`BatchQueryEngine` / :func:`answer_batch` — vectorised evaluation
-  of mixed point / range-sum / range-avg :class:`QueryBatch` es, with
-  per-query expected-error attribution from the per-item expected errors;
+* :class:`BatchQueryEngine` — vectorised evaluation of mixed point /
+  range-sum / range-avg :class:`QueryBatch` es, with per-query
+  expected-error attribution from the per-item expected errors;
 * :class:`QueryRequest` / :class:`QueryResponse` — the versioned wire
   schema (:mod:`repro.service.protocol`), whose :func:`encode_responses`
   is the one place the CLI and the daemon turn answers into bytes;
@@ -30,7 +30,7 @@ keying, coalescing, admission-control and complexity notes.
 """
 
 from .client import DaemonClient
-from .engine import BatchQueryEngine, answer_batch, answer_serial
+from .engine import BatchQueryEngine
 from .protocol import (
     MIN_PROTOCOL_VERSION,
     OP_METRICS,
@@ -58,8 +58,6 @@ __all__ = [
     "RANGE_SUM",
     "RANGE_AVG",
     "BatchQueryEngine",
-    "answer_batch",
-    "answer_serial",
     "generate_query_mix",
     "replay",
     "stream_rng",

@@ -34,7 +34,7 @@ from ..telemetry import registry
 from ..telemetry.metrics import STATE as _TELEMETRY
 from .queries import POINT, QUERY_KINDS, QueryBatch
 
-__all__ = ["BatchQueryEngine", "answer_batch", "answer_serial"]
+__all__ = ["BatchQueryEngine"]
 
 _RANGE_AVG_CODE = QUERY_KINDS.index("range_avg")
 
@@ -251,13 +251,3 @@ class BatchQueryEngine:
             if np.any(averages):
                 attributed[averages] /= batch.widths[averages]
         return attributed
-
-
-def answer_batch(synopsis: Synopsis, batch: QueryBatch) -> np.ndarray:
-    """One-shot vectorised batch answering (no error attribution)."""
-    return BatchQueryEngine(synopsis).answer(batch)
-
-
-def answer_serial(synopsis: Synopsis, batch: QueryBatch) -> np.ndarray:
-    """One-shot per-query reference loop (the baseline the benchmark beats)."""
-    return BatchQueryEngine(synopsis).answer_serial(batch)

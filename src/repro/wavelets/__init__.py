@@ -18,7 +18,7 @@ Contents:
 * :mod:`repro.wavelets.baselines` — the sampled-world baseline of Figure 4.
 """
 
-from .baselines import expectation_wavelet, sampled_world_wavelet
+from .baselines import sampled_world_wavelet
 from .coefficients import (
     coefficient_second_moments,
     coefficient_variances,
@@ -37,11 +37,7 @@ from .haar import (
     reconstruct_leaf,
 )
 from .leaf_errors import expected_leaf_errors, leaf_weight_vector
-from .nonsse import (
-    RestrictedWaveletDP,
-    restricted_wavelet_sweep,
-    restricted_wavelet_synopsis,
-)
+from .nonsse import RestrictedWaveletDP, restricted_wavelet_sweep
 from .sse import expected_sse_of_selection, sse_optimal_wavelet, top_coefficient_indices
 
 __all__ = [
@@ -61,11 +57,9 @@ __all__ = [
     "sse_optimal_wavelet",
     "expected_sse_of_selection",
     "top_coefficient_indices",
-    "restricted_wavelet_synopsis",
     "restricted_wavelet_sweep",
     "RestrictedWaveletDP",
     "expected_leaf_errors",
     "leaf_weight_vector",
     "sampled_world_wavelet",
-    "expectation_wavelet",
 ]

@@ -22,7 +22,7 @@ from .coefficients import expected_coefficients
 from .haar import haar_transform
 from .sse import top_coefficient_indices
 
-__all__ = ["sampled_world_wavelet", "expectation_wavelet"]
+__all__ = ["sampled_world_wavelet"]
 
 
 def sampled_world_wavelet(
@@ -51,15 +51,3 @@ def sampled_world_wavelet(
         source = sampled
     retained = {int(index): float(source[index]) for index in keep}
     return WaveletSynopsis(retained, domain_size=model.domain_size)
-
-
-def expectation_wavelet(model: ProbabilisticModel, coefficients: int) -> WaveletSynopsis:
-    """Top-``B`` synopsis of the expected frequencies.
-
-    For the SSE objective this *is* the optimal probabilistic synopsis
-    (Theorem 7); it is exposed separately so experiments can name the two
-    strategies independently.
-    """
-    from .sse import sse_optimal_wavelet
-
-    return sse_optimal_wavelet(model, coefficients)

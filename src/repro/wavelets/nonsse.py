@@ -57,11 +57,7 @@ from .coefficients import expected_coefficients
 from .haar import next_power_of_two, normalisation_factors
 from .leaf_errors import expected_leaf_errors, leaf_weight_vector
 
-__all__ = [
-    "restricted_wavelet_synopsis",
-    "restricted_wavelet_sweep",
-    "RestrictedWaveletDP",
-]
+__all__ = ["restricted_wavelet_sweep", "RestrictedWaveletDP"]
 
 #: Soft bound on the number of table cells one candidate block materialises;
 #: larger levels are processed in blocks of parent nodes that fit within it.
@@ -317,25 +313,6 @@ def _as_distributions(
     return data.to_frequency_distributions() if isinstance(data, ProbabilisticModel) else data
 
 
-def restricted_wavelet_synopsis(
-    data: Union[ProbabilisticModel, FrequencyDistributions],
-    coefficients: int,
-    metric: Union[str, ErrorMetric, MetricSpec],
-    *,
-    sanity: float = DEFAULT_SANITY,
-    workload=None,
-) -> WaveletSynopsis:
-    """Optimal *restricted* wavelet synopsis for a non-SSE (or workload-weighted) metric.
-
-    Coefficient values are fixed to the Haar coefficients of the expected
-    frequencies; the DP chooses which ``coefficients`` of them to retain so
-    that the expected (optionally workload-weighted) error metric is minimised.
-    """
-    dp = RestrictedWaveletDP(_as_distributions(data), metric, sanity=sanity, workload=workload)
-    _, synopsis = dp.solve(coefficients)
-    return synopsis
-
-
 def restricted_wavelet_sweep(
     data: Union[ProbabilisticModel, FrequencyDistributions],
     budgets: Sequence[int],
@@ -346,10 +323,11 @@ def restricted_wavelet_sweep(
 ) -> List[WaveletSynopsis]:
     """Optimal restricted synopses for several budgets from one tabulation.
 
-    The wavelet counterpart of
-    :func:`repro.histograms.dp.optimal_histograms_for_budgets`: the DP is
-    tabulated once for the largest budget and every smaller one is read off
-    the same tables.
+    The wavelet builder behind :func:`repro.core.builders.build` calls this
+    for every non-SSE (or workload-weighted) wavelet spec.  Like one
+    :func:`repro.histograms.dp.solve_dynamic_program` solve on the histogram
+    side, the DP is tabulated once for the largest budget and every smaller
+    one is read off the same tables.  An empty budget list returns ``[]``.
     """
     budgets = [int(b) for b in budgets]
     if not budgets:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Bucket, ErrorMetric, Histogram, WaveletSynopsis, build_histogram
+from repro import Bucket, ErrorMetric, Histogram, SynopsisSpec, WaveletSynopsis, build
 from repro.evaluation import (
     estimates_of,
     exhaustive_expected_error,
@@ -31,7 +31,7 @@ class TestClosedFormAgainstExhaustive:
         assert closed == pytest.approx(brute, abs=1e-9)
 
     def test_histogram_and_wavelet_synopses_accepted(self, example1_value):
-        histogram = build_histogram(example1_value, 2, "sse")
+        histogram = build(example1_value, SynopsisSpec(kind="histogram", budget=2, metric="sse"))
         assert expected_error(example1_value, histogram, "sse") == pytest.approx(
             exhaustive_expected_error(example1_value, histogram, "sse")
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import build_histogram, expected_error
+from repro import SynopsisSpec, build, expected_error
 from repro.exceptions import SynopsisError
 from repro.histograms.approx import approximate_boundaries, approximate_histogram
 from repro.histograms.dp import solve_dynamic_program
@@ -76,8 +76,13 @@ class TestApproximateStructure:
 
     def test_build_histogram_approximate_method(self):
         model = small_value_pdf(seed=99, domain_size=16)
-        exact = build_histogram(model, 4, "sse")
-        approx = build_histogram(model, 4, "sse", method="approximate", epsilon=0.1)
+        exact = build(model, SynopsisSpec(kind="histogram", budget=4, metric="sse"))
+        approx = build(
+            model,
+            SynopsisSpec(
+                kind="histogram", budget=4, metric="sse", method="approximate", epsilon=0.1
+            ),
+        )
         exact_error = expected_error(model, exact, "sse")
         approx_error = expected_error(model, approx, "sse")
         assert approx_error <= 1.1 * exact_error + 1e-9

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import build_histogram, expected_error
+from repro import SynopsisSpec, build, expected_error
 from repro.exceptions import SynopsisError
 from repro.histograms.baselines import expectation_histogram, sampled_world_histogram
 from repro.histograms.deterministic import (
@@ -90,7 +90,9 @@ class TestBaselines:
         it is at least as good as both naive baselines under the expected metric."""
         model = factory(seed=101, domain_size=8)
         buckets = 3
-        optimal = build_histogram(model, buckets, metric, sanity=1.0)
+        optimal = build(
+            model, SynopsisSpec(kind="histogram", budget=buckets, metric=metric, sanity=1.0)
+        )
         optimal_error = expected_error(model, optimal, metric, sanity=1.0)
 
         exp_hist = expectation_histogram(model, buckets, metric, sanity=1.0)
@@ -113,7 +115,7 @@ class TestBaselines:
 
         model = ValuePdfModel.deterministic([1.0, 1.0, 8.0, 8.0])
         baseline = expectation_histogram(model, 2, "sse")
-        optimal = build_histogram(model, 2, "sse")
+        optimal = build(model, SynopsisSpec(kind="histogram", budget=2, metric="sse"))
         assert expected_error(model, baseline, "sse") == pytest.approx(
             expected_error(model, optimal, "sse")
         )

@@ -5,13 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import ErrorMetric, build_histogram, expected_error
+from repro import ErrorMetric, SynopsisSpec, build, expected_error
 from repro.exceptions import SynopsisError
 from repro.histograms.dp import (
     histogram_from_boundaries,
-    optimal_boundaries,
     optimal_histogram,
-    optimal_histograms_for_budgets,
     solve_dynamic_program,
 )
 from repro.histograms.factory import make_cost_function
@@ -76,9 +74,9 @@ class TestDpStructure:
 
     def test_boundaries_form_partition(self):
         model = small_value_pdf(seed=75, domain_size=9)
-        cost_fn = make_cost_function(model, "sae")
+        dp = solve_dynamic_program(make_cost_function(model, "sae"), 9)
         for buckets in (1, 3, 5, 9):
-            spans = optimal_boundaries(cost_fn, buckets)
+            spans = dp.boundaries(buckets)
             assert spans[0][0] == 0
             assert spans[-1][1] == 8
             for (_, left_end), (right_start, _) in zip(spans, spans[1:]):
@@ -114,17 +112,13 @@ class TestDpStructure:
     def test_histograms_for_budgets_match_individual_runs(self):
         model = small_value_pdf(seed=80, domain_size=8)
         cost_fn = make_cost_function(model, "ssre", sanity=1.0)
-        budgets = [1, 2, 4]
-        together = optimal_histograms_for_budgets(cost_fn, budgets)
-        for budget, histogram in zip(budgets, together):
+        dp = solve_dynamic_program(cost_fn, 4)
+        for budget in (1, 2, 4):
+            histogram = dp.histogram(budget)
             alone = optimal_histogram(cost_fn, budget)
             assert cost_fn.total_cost(histogram.boundaries) == pytest.approx(
                 cost_fn.total_cost(alone.boundaries), abs=1e-9
             )
-
-    def test_histograms_for_empty_budget_list(self):
-        model = small_value_pdf(seed=81, domain_size=4)
-        assert optimal_histograms_for_budgets(make_cost_function(model, "sse"), []) == []
 
     def test_histogram_from_boundaries_uses_optimal_representatives(self):
         model = small_value_pdf(seed=82, domain_size=6)
@@ -137,14 +131,16 @@ class TestDpStructure:
 
 class TestBuildHistogramEntryPoint:
     def test_optimal_method_matches_direct_dp(self, example1_value):
-        histogram = build_histogram(example1_value, 2, ErrorMetric.SSE)
+        histogram = build(
+            example1_value, SynopsisSpec(kind="histogram", budget=2, metric=ErrorMetric.SSE)
+        )
         cost_fn = make_cost_function(example1_value, "sse")
         direct = optimal_histogram(cost_fn, 2)
         assert histogram.boundaries == direct.boundaries
 
     def test_deterministic_input_gives_v_optimal(self):
         frequencies = [1.0, 1.0, 1.0, 9.0, 9.0, 9.0]
-        histogram = build_histogram(frequencies, 2, "sse")
+        histogram = build(frequencies, SynopsisSpec(kind="histogram", budget=2, metric="sse"))
         assert histogram.boundaries == [(0, 2), (3, 5)]
         assert expected_error(
             __import__("repro").FrequencyDistributions.deterministic(frequencies),
@@ -154,17 +150,20 @@ class TestBuildHistogramEntryPoint:
 
     def test_invalid_arguments(self, example1_value):
         with pytest.raises(SynopsisError):
-            build_histogram(example1_value, 0, "sse")
+            build(example1_value, SynopsisSpec(kind="histogram", budget=0, metric="sse"))
         with pytest.raises(SynopsisError):
-            build_histogram(example1_value, 2, "sse", method="magic")
+            build(
+                example1_value,
+                SynopsisSpec(kind="histogram", budget=2, metric="sse", method="magic"),
+            )
         with pytest.raises(SynopsisError):
-            build_histogram([[1.0, 2.0]], 1, "sse")
+            build([[1.0, 2.0]], SynopsisSpec(kind="histogram", budget=1, metric="sse"))
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_expected_error_decreases_with_buckets(self, metric):
         model = small_value_pdf(seed=83, domain_size=10)
-        errors = [
-            expected_error(model, build_histogram(model, b, metric, sanity=1.0), metric, sanity=1.0)
-            for b in (1, 3, 10)
+        specs = [
+            SynopsisSpec(kind="histogram", budget=b, metric=metric, sanity=1.0) for b in (1, 3, 10)
         ]
+        errors = [expected_error(model, build(model, spec), metric, sanity=1.0) for spec in specs]
         assert errors[0] >= errors[1] - 1e-9 >= errors[2] - 2e-9

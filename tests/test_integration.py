@@ -6,8 +6,8 @@ import pytest
 from repro import (
     ErrorMetric,
     MetricSpec,
-    build_histogram,
-    build_wavelet,
+    SynopsisSpec,
+    build,
     expected_error,
 )
 from repro.datasets import (
@@ -17,8 +17,6 @@ from repro.datasets import (
 )
 from repro.histograms import (
     expectation_histogram,
-    make_cost_function,
-    optimal_histograms_for_budgets,
     sampled_world_histogram,
 )
 from repro.wavelets import sampled_world_wavelet, sse_optimal_wavelet
@@ -33,9 +31,8 @@ class TestMovieLinkagePipeline:
 
     @pytest.mark.parametrize("metric", ["sse", "ssre", "sae", "sare"])
     def test_more_buckets_never_hurt(self, model, metric):
-        budgets = [2, 8, 24]
-        cost_fn = make_cost_function(model, MetricSpec.of(metric, 0.5))
-        histograms = optimal_histograms_for_budgets(cost_fn, budgets)
+        spec = SynopsisSpec(kind="histogram", budget=[2, 8, 24], metric=metric, sanity=0.5)
+        histograms = build(model, spec)
         errors = [expected_error(model, h, metric, sanity=0.5) for h in histograms]
         assert errors[0] >= errors[1] - 1e-9 >= errors[2] - 2e-9
 
@@ -44,7 +41,7 @@ class TestMovieLinkagePipeline:
         sampled world is the weakest baseline on low-confidence linkage data."""
         buckets = 12
         metric = MetricSpec.of("ssre", 0.5)
-        optimal = build_histogram(model, buckets, metric)
+        optimal = build(model, SynopsisSpec(kind="histogram", budget=buckets, metric=metric))
         sampled = sampled_world_histogram(
             model, buckets, metric, rng=np.random.default_rng(1)
         )
@@ -57,7 +54,7 @@ class TestMovieLinkagePipeline:
         assert sampled_error > optimal_error  # strictly worse on this workload
 
     def test_histogram_supports_range_queries(self, model):
-        histogram = build_histogram(model, 10, "sse")
+        histogram = build(model, SynopsisSpec(kind="histogram", budget=10, metric="sse"))
         exact = model.expected_frequencies()[10:31].sum()
         estimate = histogram.range_sum_estimate(10, 30)
         assert estimate == pytest.approx(exact, rel=0.6)
@@ -71,8 +68,12 @@ class TestTpchPipeline:
         return generate_tpch_lineitem(64, 256, seed=29)
 
     def test_sse_variants_both_run_and_fixed_matches_evaluation_optimum(self, model):
-        fixed = build_histogram(model, 8, "sse", sse_variant="fixed")
-        paper = build_histogram(model, 8, "sse", sse_variant="paper")
+        fixed = build(
+            model, SynopsisSpec(kind="histogram", budget=8, metric="sse", sse_variant="fixed")
+        )
+        paper = build(
+            model, SynopsisSpec(kind="histogram", budget=8, metric="sse", sse_variant="paper")
+        )
         fixed_error = expected_error(model, fixed, "sse")
         paper_error = expected_error(model, paper, "sse")
         # The fixed variant optimises exactly the evaluated objective, so it
@@ -86,8 +87,14 @@ class TestTpchPipeline:
         assert expected_error(model, optimal, "sse") <= expected_error(model, sampled, "sse") + 1e-9
 
     def test_approximate_close_to_exact_on_real_workload(self, model):
-        exact = build_histogram(model, 8, "ssre", sanity=1.0)
-        approx = build_histogram(model, 8, "ssre", sanity=1.0, method="approximate", epsilon=0.1)
+        exact = build(model, SynopsisSpec(kind="histogram", budget=8, metric="ssre", sanity=1.0))
+        approx = build(
+            model,
+            SynopsisSpec(
+                kind="histogram", budget=8, metric="ssre", sanity=1.0, method="approximate",
+                epsilon=0.1,
+            ),
+        )
         exact_error = expected_error(model, exact, "ssre")
         approx_error = expected_error(model, approx, "ssre")
         assert approx_error <= 1.1 * exact_error + 1e-9
@@ -101,13 +108,15 @@ class TestSensorPipeline:
         return generate_sensor_readings(48, seed=31)
 
     def test_max_error_histogram(self, model):
-        histogram = build_histogram(model, 6, ErrorMetric.MARE, sanity=1.0)
+        histogram = build(
+            model, SynopsisSpec(kind="histogram", budget=6, metric=ErrorMetric.MARE, sanity=1.0)
+        )
         error6 = expected_error(model, histogram, "mare", sanity=1.0)
-        single = build_histogram(model, 1, "mare", sanity=1.0)
+        single = build(model, SynopsisSpec(kind="histogram", budget=1, metric="mare", sanity=1.0))
         assert error6 <= expected_error(model, single, "mare", sanity=1.0) + 1e-9
 
     def test_wavelet_reconstruction_tracks_expected_signal(self, model):
-        synopsis = build_wavelet(model, 16, "sse")
+        synopsis = build(model, SynopsisSpec(kind="wavelet", budget=16, metric="sse"))
         estimates = synopsis.estimates()
         expected = model.expected_frequencies()
         # A 16-term synopsis of a smooth 48-point signal should correlate strongly.
@@ -115,8 +124,8 @@ class TestSensorPipeline:
         assert correlation > 0.8
 
     def test_histogram_and_wavelet_close_in_quality(self, model):
-        histogram = build_histogram(model, 8, "sse")
-        wavelet = build_wavelet(model, 8, "sse")
+        histogram = build(model, SynopsisSpec(kind="histogram", budget=8, metric="sse"))
+        wavelet = build(model, SynopsisSpec(kind="wavelet", budget=8, metric="sse"))
         hist_error = expected_error(model, histogram, "sse")
         wave_error = expected_error(model, wavelet, "sse")
         floor = model.frequency_variances().sum()

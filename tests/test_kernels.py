@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ValuePdfModel, build_synopsis
+from repro import SynopsisSpec, ValuePdfModel, build
 from repro.exceptions import SynopsisError
 from repro.histograms import (
     DivideConquerKernel,
@@ -216,17 +216,17 @@ class TestLazyBackPointers:
 class TestBuildSynopsisFrontDoor:
     def test_budget_sweep_shares_one_dp(self):
         model = small_value_pdf(seed=914, domain_size=10)
-        swept = build_synopsis(model, [1, 3, 5], metric="sse")
+        swept = build(model, SynopsisSpec(budget=[1, 3, 5], metric="sse"))
         assert [h.bucket_count for h in swept] == [1, 3, 5]
         for budget, histogram in zip([1, 3, 5], swept):
-            alone = build_synopsis(model, budget, metric="sse")
+            alone = build(model, SynopsisSpec(budget=budget, metric="sse"))
             assert histogram.boundaries == alone.boundaries
 
     @pytest.mark.parametrize("kernel", ["auto", *KERNELS])
     def test_kernel_choice_does_not_change_result(self, kernel):
         model = small_value_pdf(seed=915, domain_size=9)
-        baseline = build_synopsis(model, 4, metric="sae", kernel="exact")
-        histogram = build_synopsis(model, 4, metric="sae", kernel=kernel)
+        baseline = build(model, SynopsisSpec(budget=4, metric="sae", kernel="exact"))
+        histogram = build(model, SynopsisSpec(budget=4, metric="sae", kernel=kernel))
         cost_fn = make_cost_function(model, "sae")
         assert cost_fn.total_cost(histogram.boundaries) == pytest.approx(
             cost_fn.total_cost(baseline.boundaries), abs=1e-12
@@ -234,32 +234,32 @@ class TestBuildSynopsisFrontDoor:
 
     def test_wavelet_kind(self):
         model = small_value_pdf(seed=916, domain_size=8)
-        wavelet = build_synopsis(model, 4, synopsis="wavelet", metric="sse")
+        wavelet = build(model, SynopsisSpec(kind="wavelet", budget=4, metric="sse"))
         assert wavelet.term_count <= 4
-        swept = build_synopsis(model, [2, 4], synopsis="wavelet", metric="sse")
+        swept = build(model, SynopsisSpec(kind="wavelet", budget=[2, 4], metric="sse"))
         assert len(swept) == 2
 
     def test_invalid_kind_rejected(self):
         model = small_value_pdf(seed=917, domain_size=5)
         with pytest.raises(SynopsisError):
-            build_synopsis(model, 2, synopsis="sketch")
+            build(model, SynopsisSpec(kind="sketch", budget=2))
 
     def test_empty_budget_list_rejected(self):
         # An empty sweep used to slip through and return [] before any
         # validation ran; it is a caller bug and must fail up front.
         model = small_value_pdf(seed=918, domain_size=5)
         with pytest.raises(SynopsisError, match="empty budget sweep"):
-            build_synopsis(model, [], metric="sse")
+            build(model, SynopsisSpec(budget=[], metric="sse"))
 
     @pytest.mark.parametrize("budget", [4.7, "4", [2, 3.5], True])
     def test_non_integral_budget_rejected(self, budget):
         model = small_value_pdf(seed=919, domain_size=5)
         with pytest.raises(SynopsisError):
-            build_synopsis(model, budget, metric="sse")
+            build(model, SynopsisSpec(budget=budget, metric="sse"))
 
     def test_numpy_integer_budget_accepted(self):
         model = small_value_pdf(seed=920, domain_size=6)
-        assert build_synopsis(model, np.int64(3), metric="sse").bucket_count == 3
+        assert build(model, SynopsisSpec(budget=np.int64(3), metric="sse")).bucket_count == 3
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ErrorMetric, ValuePdfModel, build_histogram, expected_error, point_error
+from repro import ErrorMetric, SynopsisSpec, ValuePdfModel, build, expected_error, point_error
 from repro.histograms.dp import solve_dynamic_program
 from repro.histograms.factory import make_cost_function
 from repro.models.induced import poisson_binomial_pmf
@@ -141,11 +141,13 @@ class TestHistogramProperties:
            st.sampled_from(["sse", "sae", "sare"]))
     @settings(max_examples=25, deadline=None)
     def test_histogram_partitions_domain_and_error_bounded(self, model, buckets, metric):
-        histogram = build_histogram(model, buckets, metric, sanity=1.0)
+        histogram = build(
+            model, SynopsisSpec(kind="histogram", budget=buckets, metric=metric, sanity=1.0)
+        )
         assert histogram.boundaries[0][0] == 0
         assert histogram.boundaries[-1][1] == model.domain_size - 1
         error = expected_error(model, histogram, metric, sanity=1.0)
-        single = build_histogram(model, 1, metric, sanity=1.0)
+        single = build(model, SynopsisSpec(kind="histogram", budget=1, metric=metric, sanity=1.0))
         assert error <= expected_error(model, single, metric, sanity=1.0) + 1e-9
 
     @given(value_pdf_models(max_items=6), st.sampled_from(["sse", "ssre", "sae"]))

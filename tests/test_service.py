@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from repro import QueryWorkload, SynopsisSpec, build_synopsis
+from repro import QueryWorkload, SynopsisSpec, build
 from repro.datasets import zipf_value_pdf
 from repro.evaluation.errors import per_item_expected_errors
 from repro.exceptions import EvaluationError
@@ -14,8 +14,6 @@ from repro.service import (
     BatchQueryEngine,
     QueryBatch,
     SynopsisStore,
-    answer_batch,
-    answer_serial,
     fingerprint_data,
     generate_query_mix,
     replay,
@@ -223,18 +221,12 @@ class TestQueryBatch:
 class TestBatchQueryEngine:
     @pytest.mark.parametrize("kind,budget", [("histogram", 8), ("wavelet", 10)])
     def test_batch_matches_serial(self, model, mixed_batch, kind, budget):
-        synopsis = build_synopsis(model, budget, synopsis=kind, metric="sae")
+        synopsis = build(model, SynopsisSpec(kind=kind, budget=budget, metric="sae"))
         engine = BatchQueryEngine(synopsis)
         assert np.allclose(engine.answer(mixed_batch), engine.answer_serial(mixed_batch))
 
-    def test_module_level_helpers(self, model, mixed_batch):
-        synopsis = build_synopsis(model, 8, metric="sse")
-        assert np.allclose(
-            answer_batch(synopsis, mixed_batch), answer_serial(synopsis, mixed_batch)
-        )
-
     def test_point_and_range_semantics(self, model):
-        synopsis = build_synopsis(model, 8, metric="sse")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sse"))
         batch = QueryBatch.from_tuples(
             [("point", 5), ("range_sum", 0, 9), ("range_avg", 0, 9)]
         )
@@ -244,7 +236,7 @@ class TestBatchQueryEngine:
         assert range_avg == pytest.approx(range_sum / 10.0)
 
     def test_cumulative_error_attribution(self, model, mixed_batch):
-        synopsis = build_synopsis(model, 8, metric="sae")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sae"))
         engine = BatchQueryEngine.from_model(synopsis, model, "sae")
         attributed = engine.attribute_errors(mixed_batch)
         per_item = per_item_expected_errors(model, synopsis, "sae")
@@ -255,7 +247,7 @@ class TestBatchQueryEngine:
             assert got == pytest.approx(expected)
 
     def test_maximum_error_attribution(self, model, mixed_batch):
-        synopsis = build_synopsis(model, 8, metric="sae")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sae"))
         engine = BatchQueryEngine.from_model(synopsis, model, "mae")
         attributed = engine.attribute_errors(mixed_batch)
         per_item = per_item_expected_errors(model, synopsis, "mae")
@@ -263,12 +255,12 @@ class TestBatchQueryEngine:
             assert got == pytest.approx(per_item[start : end + 1].max())
 
     def test_attribution_requires_errors(self, model, mixed_batch):
-        synopsis = build_synopsis(model, 8, metric="sse")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sse"))
         with pytest.raises(EvaluationError):
             BatchQueryEngine(synopsis).attribute_errors(mixed_batch)
 
     def test_out_of_domain_batch_rejected(self, model):
-        synopsis = build_synopsis(model, 8, metric="sse")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sse"))
         too_far = QueryBatch.points([model.domain_size])
         with pytest.raises(EvaluationError):
             BatchQueryEngine(synopsis).answer(too_far)
@@ -298,7 +290,7 @@ class TestReplay:
             generate_query_mix(0, 10)
 
     def test_replay_report(self, model, mixed_batch):
-        synopsis = build_synopsis(model, 8, metric="sse")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sse"))
         engine = BatchQueryEngine(synopsis)
         report = replay(engine, mixed_batch, chunk_size=128, compare_serial=True)
         assert report["queries"] == len(mixed_batch)
@@ -307,7 +299,7 @@ class TestReplay:
         assert report["latency_ms"]["p95"] >= report["latency_ms"]["p50"]
 
     def test_replay_rejects_bad_chunk_size(self, model, mixed_batch):
-        synopsis = build_synopsis(model, 8, metric="sse")
+        synopsis = build(model, SynopsisSpec(budget=8, metric="sse"))
         with pytest.raises(EvaluationError):
             replay(BatchQueryEngine(synopsis), mixed_batch, chunk_size=0)
 
@@ -317,7 +309,7 @@ class TestBatchPrimitives:
 
     @pytest.mark.parametrize("kind,budget", [("histogram", 8), ("wavelet", 10)])
     def test_range_sums_match_scalar(self, model, kind, budget):
-        synopsis = build_synopsis(model, budget, synopsis=kind, metric="sse")
+        synopsis = build(model, SynopsisSpec(kind=kind, budget=budget, metric="sse"))
         rng = np.random.default_rng(8)
         starts = rng.integers(0, model.domain_size, size=80)
         ends = np.minimum(
@@ -329,13 +321,13 @@ class TestBatchPrimitives:
 
     @pytest.mark.parametrize("kind,budget", [("histogram", 8), ("wavelet", 10)])
     def test_point_batch_matches_estimates(self, model, kind, budget):
-        synopsis = build_synopsis(model, budget, synopsis=kind, metric="sse")
+        synopsis = build(model, SynopsisSpec(kind=kind, budget=budget, metric="sse"))
         items = np.arange(model.domain_size)
         assert np.allclose(synopsis.estimate_batch(items), synopsis.estimates())
 
     def test_wavelet_non_power_of_two_domain(self):
         model = zipf_value_pdf(21, skew=1.0, uncertainty=0.2, seed=9)
-        synopsis = build_synopsis(model, 5, synopsis="wavelet", metric="sse")
+        synopsis = build(model, SynopsisSpec(kind="wavelet", budget=5, metric="sse"))
         dense = synopsis.estimates()
         starts = np.array([0, 3, 20])
         ends = np.array([20, 10, 20])

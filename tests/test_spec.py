@@ -11,6 +11,7 @@ keying that the spec replaced (since deleted).
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from repro import (
     SynopsisSpec,
     WaveletSynopsis,
     build,
-    build_synopsis,
 )
 from repro.core.metrics import ErrorMetric, MetricSpec
 from repro.core.synopsis import Synopsis, synopsis_class, synopsis_kinds
@@ -332,25 +332,32 @@ class TestSpecValidation:
         spec = SynopsisSpec(budget=4, metric=MetricSpec.of("ssre", 0.25))
         assert spec.metric.sanity == 0.25
 
+    def test_build_refuses_a_bare_budget_by_naming_the_spec(self):
+        with pytest.raises(SynopsisError) as refused:
+            build(np.arange(8, dtype=float), 8)
+        message = str(refused.value)
+        assert "SynopsisSpec(kind=..., budget=...)" in message
+        assert re.search(r"\bbuild_\w+", message) is None  # names no other build function
+
 
 class TestBudgetClampWarning:
     """Oversized budgets warn instead of clamping silently."""
 
     def test_histogram_sweep_clamp_warns(self):
         with pytest.warns(BudgetClampWarning, match="clamped"):
-            built = build_synopsis(np.arange(6, dtype=float), [2, 50])
+            built = build(np.arange(6, dtype=float), SynopsisSpec(budget=[2, 50]))
         assert built[1].bucket_count == 6
 
     def test_wavelet_budget_clamp_warns(self):
         with pytest.warns(BudgetClampWarning, match="coefficients"):
-            build_synopsis(np.arange(8, dtype=float), 99, synopsis="wavelet")
+            build(np.arange(8, dtype=float), SynopsisSpec(kind="wavelet", budget=99))
 
     def test_fitting_budgets_do_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", BudgetClampWarning)
-            build_synopsis(np.arange(6, dtype=float), [1, 6])
+            build(np.arange(6, dtype=float), SynopsisSpec(budget=[1, 6]))
 
 
 class TestSynopsisProtocol:

@@ -345,12 +345,13 @@ class TestDisabledOverhead:
         from repro.service.engine import _RANGE_AVG_CODE, BatchQueryEngine
         from repro.service.queries import QueryBatch
         from repro.service.replay import generate_query_mix
-        from repro.core.builders import build_histogram
+        from repro.core.builders import build
+        from repro.core.spec import SynopsisSpec
 
         telemetry.disable()
         rng = np.random.default_rng(5)
         frequencies = rng.integers(0, 50, size=256).astype(float)
-        histogram = build_histogram(frequencies, 16)
+        histogram = build(frequencies, SynopsisSpec(kind="histogram", budget=16))
         engine = BatchQueryEngine(histogram)
         batch = generate_query_mix(256, 512, seed=5)
 
@@ -447,13 +448,50 @@ class TestBuildSpanTree:
             # The trees were pickled home from pool workers.
             assert os.getpid() not in shard_pids
 
+    @pytest.mark.parametrize("metric,kernel", [("sse", "auto"), ("sae", "exact")])
+    def test_optimal_histogram_build_span_tree(self, metric, kernel):
+        """An optimal histogram build traces the oracle, the kernel choice and
+        the DP, in that order, as the build span's only children.  No resolved
+        kernel name is asserted: it depends on the compiled backend."""
+        from repro.core.builders import build
+        from repro.core.spec import SynopsisSpec
+
+        frequencies = np.random.default_rng(8).integers(0, 30, size=32).astype(float)
+        with capture_spans() as captured:
+            build(frequencies, SynopsisSpec(budget=6, metric=metric, kernel=kernel))
+        (root,) = captured
+        assert root.name == "build.synopsis"
+        assert [child.name for child in root.children] == [
+            "build.cost_oracle",
+            "build.kernel_resolve",
+            "build.dp",
+        ]
+        _, resolve, dp = root.children
+        assert resolve.attrs["requested"] == kernel
+        assert resolve.attrs["kernel"] == dp.attrs["kernel"]
+        assert dp.attrs["buckets"] == 6
+        assert dp.attrs["n"] == 32
+
+    def test_approximate_histogram_build_spans_only_the_oracle(self):
+        """The approximate scheme shares the oracle span and has no kernel."""
+        from repro.core.builders import build
+        from repro.core.spec import SynopsisSpec
+
+        frequencies = np.random.default_rng(8).integers(0, 30, size=32).astype(float)
+        spec = SynopsisSpec(budget=6, metric="sse", method="approximate", epsilon=0.1)
+        with capture_spans() as captured:
+            build(frequencies, spec)
+        (root,) = captured
+        assert [child.name for child in root.children] == ["build.cost_oracle"]
+
     def test_wavelet_build_traces_per_level_dp(self):
-        from repro.core.builders import build_wavelet
+        from repro.core.builders import build
+        from repro.core.spec import SynopsisSpec
 
         rng = np.random.default_rng(3)
         frequencies = rng.integers(0, 20, size=16).astype(float)
         with capture_spans() as captured:
-            build_wavelet(frequencies, 4, metric="sae")
+            build(frequencies, SynopsisSpec(kind="wavelet", budget=4, metric="sae"))
         (wavelet_dp,) = captured[0].find("build.wavelet_dp")
         levels = [c for c in wavelet_dp.children if c.name == "build.wavelet_level"]
         assert len(levels) == 4  # log2(16) levels

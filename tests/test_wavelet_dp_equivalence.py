@@ -11,16 +11,12 @@ coefficient sets — not tolerance-level agreement.
 import numpy as np
 import pytest
 
-from repro import build_synopsis
+from repro import SynopsisSpec, build
 from repro.exceptions import SynopsisError
 from repro.models.frequency import FrequencyDistributions
 from repro.wavelets.coefficients import expected_coefficients
 from repro.wavelets.haar import next_power_of_two, normalisation_factors
-from repro.wavelets.nonsse import (
-    RestrictedWaveletDP,
-    restricted_wavelet_sweep,
-    restricted_wavelet_synopsis,
-)
+from repro.wavelets.nonsse import RestrictedWaveletDP, restricted_wavelet_sweep
 from repro.wavelets.reference import ReferenceWaveletDP
 from tests.conftest import small_tuple_pdf, small_value_pdf
 
@@ -152,8 +148,10 @@ class TestSweepSemantics:
         model = small_value_pdf(seed=6, domain_size=8)
         budgets = [1, 3, 5]
         synopses = restricted_wavelet_sweep(model, budgets, "sae")
+        distributions = model.to_frequency_distributions()
         for budget, synopsis in zip(budgets, synopses):
-            assert synopsis == restricted_wavelet_synopsis(model, budget, "sae")
+            _, single = RestrictedWaveletDP(distributions, "sae").solve(budget)
+            assert synopsis == single
 
     def test_restricted_wavelet_sweep_empty_budgets(self):
         model = small_value_pdf(seed=6, domain_size=4)
@@ -186,9 +184,9 @@ class TestBuilderIntegration:
     def test_budget_list_shares_one_tabulation(self):
         model = small_value_pdf(seed=9, domain_size=8)
         budgets = [1, 2, 4, 6]
-        from_sweep = build_synopsis(model, budgets, synopsis="wavelet", metric="sae")
+        from_sweep = build(model, SynopsisSpec(kind="wavelet", budget=budgets, metric="sae"))
         one_by_one = [
-            build_synopsis(model, budget, synopsis="wavelet", metric="sae")
+            build(model, SynopsisSpec(kind="wavelet", budget=budget, metric="sae"))
             for budget in budgets
         ]
         assert from_sweep == one_by_one
@@ -196,7 +194,7 @@ class TestBuilderIntegration:
     def test_builder_matches_reference_optimum(self):
         model = small_value_pdf(seed=10, domain_size=6)
         distributions = model.to_frequency_distributions()
-        synopsis = build_synopsis(model, 3, synopsis="wavelet", metric="mae")
+        synopsis = build(model, SynopsisSpec(kind="wavelet", budget=3, metric="mae"))
         _, expected = ReferenceWaveletDP(distributions, "mae").solve(3)
         assert synopsis.indices == expected.indices
 

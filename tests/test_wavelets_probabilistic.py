@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import ErrorMetric, WaveletSynopsis, build_wavelet, expected_error
+from repro import ErrorMetric, SynopsisSpec, WaveletSynopsis, build, expected_error
 from repro.evaluation import exhaustive_expected_error
 from repro.wavelets.coefficients import (
     coefficient_second_moments,
@@ -13,7 +13,7 @@ from repro.wavelets.coefficients import (
     expected_coefficients,
 )
 from repro.wavelets.haar import haar_transform
-from repro.wavelets.nonsse import RestrictedWaveletDP, restricted_wavelet_synopsis
+from repro.wavelets.nonsse import RestrictedWaveletDP
 from repro.wavelets.sse import (
     expected_sse_of_selection,
     sse_optimal_wavelet,
@@ -147,12 +147,14 @@ class TestSseOptimalWavelet:
         )
 
     def test_build_wavelet_entry_point(self, example1_value):
-        synopsis = build_wavelet(example1_value, 2, ErrorMetric.SSE)
+        synopsis = build(
+            example1_value, SynopsisSpec(kind="wavelet", budget=2, metric=ErrorMetric.SSE)
+        )
         assert synopsis == sse_optimal_wavelet(example1_value, 2)
 
     def test_deterministic_data_entry_point(self):
         data = [3.0, 3.0, 1.0, 1.0]
-        synopsis = build_wavelet(data, 2, "sse")
+        synopsis = build(data, SynopsisSpec(kind="wavelet", budget=2, metric="sse"))
         assert np.allclose(synopsis.estimates(), data)
 
     def test_domain_size_override(self, example1_value):
@@ -194,7 +196,7 @@ class TestRestrictedNonSseDP:
 
     def test_budget_respected(self):
         model = small_value_pdf(seed=13, domain_size=8)
-        synopsis = restricted_wavelet_synopsis(model, 3, "sae")
+        _, synopsis = RestrictedWaveletDP(model.to_frequency_distributions(), "sae").solve(3)
         assert synopsis.term_count <= 3
 
     def test_negative_budget_rejected(self):
@@ -206,6 +208,6 @@ class TestRestrictedNonSseDP:
 
     def test_build_wavelet_dispatches_to_dp(self):
         model = small_value_pdf(seed=2, domain_size=4)
-        synopsis = build_wavelet(model, 2, "sae")
+        synopsis = build(model, SynopsisSpec(kind="wavelet", budget=2, metric="sae"))
         assert isinstance(synopsis, WaveletSynopsis)
         assert synopsis.term_count <= 2

@@ -16,9 +16,9 @@ import pytest
 from repro import (
     ErrorMetric,
     QueryWorkload,
+    SynopsisSpec,
     ValuePdfModel,
-    build_histogram,
-    build_wavelet,
+    build,
     expected_error,
     per_item_expected_errors,
 )
@@ -214,8 +214,10 @@ class TestWorkloadAwareConstruction:
         # so the weighted histogram spends its buckets there.
         model = ValuePdfModel.deterministic([1.0, 5.0, 9.0, 13.0, 20.0, 20.0, 20.0, 20.0])
         hot = QueryWorkload([1.0, 1.0, 1.0, 1.0, 1e-6, 1e-6, 1e-6, 1e-6])
-        plain = build_histogram(model, 3, "sse")
-        weighted = build_histogram(model, 3, "sse", workload=hot)
+        plain = build(model, SynopsisSpec(kind="histogram", budget=3, metric="sse"))
+        weighted = build(
+            model, SynopsisSpec(kind="histogram", budget=3, metric="sse", workload=hot)
+        )
         assert weighted.boundaries != plain.boundaries
         weighted_error = expected_error(model, weighted, "sse", workload=hot)
         plain_error = expected_error(model, plain, "sse", workload=hot)
@@ -225,8 +227,10 @@ class TestWorkloadAwareConstruction:
         model = small_value_pdf(seed=209, domain_size=10)
         workload = QueryWorkload.zipf_hotspot(10, skew=1.5, hotspot=2)
         for metric in ["sse", "sare"]:
-            weighted = build_histogram(model, 3, metric, workload=workload)
-            plain = build_histogram(model, 3, metric)
+            weighted = build(
+                model, SynopsisSpec(kind="histogram", budget=3, metric=metric, workload=workload)
+            )
+            plain = build(model, SynopsisSpec(kind="histogram", budget=3, metric=metric))
             weighted_error = expected_error(model, weighted, metric, workload=workload)
             plain_error = expected_error(model, plain, metric, workload=workload)
             assert weighted_error <= plain_error + 1e-9
@@ -235,7 +239,9 @@ class TestWorkloadAwareConstruction:
         model = small_value_pdf(seed=210, domain_size=4, max_frequency=3)
         weights = np.array([3.0, 0.5, 1.0, 0.0])
         budget = 2
-        synopsis = build_wavelet(model, budget, "sae", workload=weights)
+        synopsis = build(
+            model, SynopsisSpec(kind="wavelet", budget=budget, metric="sae", workload=weights)
+        )
         from repro.wavelets.coefficients import expected_coefficients
         from repro import WaveletSynopsis
 
@@ -255,5 +261,7 @@ class TestWorkloadAwareConstruction:
     def test_workload_aware_sse_wavelet_uses_restricted_dp(self):
         model = small_value_pdf(seed=211, domain_size=4)
         workload = QueryWorkload([5.0, 1.0, 1.0, 1.0])
-        synopsis = build_wavelet(model, 2, ErrorMetric.SSE, workload=workload)
+        synopsis = build(
+            model, SynopsisSpec(kind="wavelet", budget=2, metric=ErrorMetric.SSE, workload=workload)
+        )
         assert synopsis.term_count <= 2
