@@ -1,6 +1,6 @@
 """Core abstractions: metrics, specs, the synopsis protocol and builders."""
 
-from .builders import build, register_builder
+from .builders import build
 from .histogram import Bucket, Histogram
 from .metrics import (
     DEFAULT_SANITY,
@@ -13,7 +13,7 @@ from .metrics import (
     point_error,
 )
 from .spec import PartitionSpec, SynopsisSpec
-from .synopsis import Synopsis, register_synopsis, synopsis_class, synopsis_kinds
+from .synopsis import Synopsis, synopsis_class, synopsis_kinds
 from .wavelet import WaveletSynopsis
 from .workload import QueryWorkload
 
@@ -33,8 +33,6 @@ __all__ = [
     "Synopsis",
     "SynopsisSpec",
     "PartitionSpec",
-    "register_synopsis",
-    "register_builder",
     "synopsis_class",
     "synopsis_kinds",
     "build",

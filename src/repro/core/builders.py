@@ -3,13 +3,13 @@
 :func:`build` is the typed front door: it takes the data and a declarative
 :class:`~repro.core.spec.SynopsisSpec` and returns the described synopsis
 (or, for a budget-sweep spec, one synopsis per budget — served by a single
-DP run).  Construction is dispatched through a per-kind builder registry, so
-a new synopsis kind plugs in with one :func:`register_builder` call.
+DP run).  It picks one of three fixed builders by ``spec.kind``: histograms,
+wavelets, or the partitioned builder in :mod:`repro.partition.builder`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -21,29 +21,10 @@ from .metrics import ErrorMetric
 from .spec import SynopsisSpec
 from .synopsis import Synopsis
 
-__all__ = ["build", "register_builder"]
+__all__ = ["build"]
 
 DataLike = Union[ProbabilisticModel, FrequencyDistributions, np.ndarray, Sequence[float]]
 NormalisedData = Union[ProbabilisticModel, FrequencyDistributions]
-
-#: A kind builder: (normalised data, spec) -> one synopsis per spec budget.
-KindBuilder = Callable[[NormalisedData, SynopsisSpec], List[Synopsis]]
-
-_BUILDERS: Dict[str, KindBuilder] = {}
-
-
-def register_builder(kind: str):
-    """Register the construction function for one synopsis kind.
-
-    The function receives the normalised data and the (validated) spec and
-    must return one synopsis per entry of ``spec.budgets``, in order.
-    """
-
-    def decorate(fn: KindBuilder) -> KindBuilder:
-        _BUILDERS[kind] = fn
-        return fn
-
-    return decorate
 
 
 def _as_data(data: DataLike) -> NormalisedData:
@@ -81,13 +62,15 @@ def build(data: DataLike, spec: SynopsisSpec) -> Union[Synopsis, List[Synopsis]]
             f"build expects a SynopsisSpec, got {type(spec).__name__}; "
             "describe the synopsis as SynopsisSpec(kind=..., budget=...)"
         )
-    if spec.kind not in _BUILDERS:
-        # Builders outside repro.core register at import; the partitioned
-        # builder is the one built-in living elsewhere (lazy to avoid cycles).
-        from ..partition import builder as _partition_builder  # noqa: F401
-    builder = _BUILDERS.get(spec.kind)
-    if builder is None:
-        raise SynopsisError(f"no builder registered for synopsis kind {spec.kind!r}")
+    # Imported here: the partition package imports this module.
+    from ..partition.builder import build_partitioned
+
+    # The spec has already rejected any other kind.
+    builder = {
+        "histogram": _build_histograms,
+        "wavelet": _build_wavelets,
+        "partitioned": build_partitioned,
+    }[spec.kind]
     normalised = _as_data(data)
     spec.validate_for_domain(normalised.domain_size)
     with span(
@@ -100,7 +83,6 @@ def build(data: DataLike, spec: SynopsisSpec) -> Union[Synopsis, List[Synopsis]]
     return list(results) if spec.is_sweep else results[0]
 
 
-@register_builder("histogram")
 def _build_histograms(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
     """Histograms: the DP for the largest budget, or the approximate scheme.
 
@@ -129,7 +111,6 @@ def _build_histograms(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis
     return [dp.histogram(min(b, dp.max_buckets)) for b in budgets]
 
 
-@register_builder("wavelet")
 def _build_wavelets(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
     """Wavelet synopses: SSE thresholding or the restricted-tree DP.
 

@@ -10,13 +10,13 @@ The classes here are pure value objects — construction algorithms live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import SynopsisError
 from ._validation import check_item_ranges
-from .synopsis import Synopsis, register_synopsis
+from .synopsis import Synopsis
 
 __all__ = ["Bucket", "Histogram"]
 
@@ -46,7 +46,6 @@ class Bucket:
         return f"Bucket([{self.start}, {self.end}], rep={self.representative:.6g})"
 
 
-@register_synopsis("histogram")
 class Histogram(Synopsis):
     """A bucket histogram over the ordered domain ``[0, n)``.
 
@@ -59,6 +58,8 @@ class Histogram(Synopsis):
     domain_size:
         The size ``n`` of the ordered domain.
     """
+
+    kind = "histogram"
 
     __slots__ = ("_buckets", "_domain_size", "_starts", "_ends", "_reps", "_prefix_mass")
 
@@ -328,3 +329,17 @@ class Histogram(Synopsis):
             for b in payload["buckets"]
         ]
         return cls(buckets, int(payload["domain_size"]))
+
+    def to_columns(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """The domain size and the three bucket columns of :meth:`column_arrays`."""
+        return {"domain_size": self._domain_size}, self.column_arrays()
+
+    @classmethod
+    def from_columns(cls, meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> "Histogram":
+        """Inverse of :meth:`to_columns`, through :meth:`from_arrays` (no copies)."""
+        return cls.from_arrays(
+            columns["starts"],
+            columns["ends"],
+            columns["representatives"],
+            int(meta["domain_size"]),
+        )

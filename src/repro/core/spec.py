@@ -32,7 +32,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import warnings
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,6 +41,7 @@ from ..exceptions import (
     BudgetSweepWarning,
     SynopsisError,
     WorkerClampWarning,
+    warn_at_caller,
 )
 from .metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
 from .synopsis import synopsis_kinds
@@ -214,12 +214,11 @@ class PartitionSpec:
                 # Oversubscribing a CPU-bound process pool only adds pool
                 # overhead (workers=4 on a 1-CPU box benchmarks ~1.6x
                 # *slower* than serial); clamp loudly rather than oblige.
-                warnings.warn(
+                warn_at_caller(
                     WorkerClampWarning(
                         f"workers={workers} exceeds the {cpus} available CPU(s); "
                         f"clamping to {cpus}"
-                    ),
-                    stacklevel=2,
+                    )
                 )
                 workers = cpus
             object.__setattr__(self, "workers", workers)
@@ -378,11 +377,11 @@ class SynopsisSpec:
                 )
             normalised = tuple(sorted(set(entries)))
             if normalised != entries:
-                warnings.warn(
-                    f"budget sweeps are served sorted and duplicate-free; "
-                    f"normalised {list(entries)} to {list(normalised)}",
-                    BudgetSweepWarning,
-                    stacklevel=3,
+                warn_at_caller(
+                    BudgetSweepWarning(
+                        f"budget sweeps are served sorted and duplicate-free; "
+                        f"normalised {list(entries)} to {list(normalised)}"
+                    )
                 )
                 entries = normalised
             object.__setattr__(self, "budget", entries)
@@ -710,12 +709,12 @@ class SynopsisSpec:
             return
         oversized = [b for b in self.budgets if b > capacity]
         if oversized:
-            warnings.warn(
-                f"requested {self.kind} budget(s) {oversized} exceed the "
-                f"{capacity} {unit} the domain of {domain_size} items can use; "
-                f"the build is clamped to {capacity}",
-                BudgetClampWarning,
-                stacklevel=3,
+            warn_at_caller(
+                BudgetClampWarning(
+                    f"requested {self.kind} budget(s) {oversized} exceed the "
+                    f"{capacity} {unit} the domain of {domain_size} items can use; "
+                    f"the build is clamped to {capacity}"
+                )
             )
 
     # ------------------------------------------------------------------

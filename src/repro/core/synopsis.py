@@ -1,23 +1,23 @@
-"""The :class:`Synopsis` protocol and the synopsis-kind registry.
+"""The :class:`Synopsis` protocol and the fixed table of synopsis kinds.
 
-Every synopsis the package can build — today a bucket histogram or a sparse
-Haar-coefficient set, tomorrow perhaps a sketch — supports the same read
-surface: scalar and vectorised frequency estimation, range sums, and a
-JSON-friendly ``to_dict``/``from_dict`` round trip.  This module makes that
-contract explicit as an abstract base class and keeps a registry mapping
-every synopsis *kind* (the string that appears in
-:class:`~repro.core.spec.SynopsisSpec` and in serialized payloads) to its
-implementing class.
+Every synopsis the package can build — a bucket histogram, a sparse
+Haar-coefficient set, or a partitioned composite of either — supports the
+same read surface: scalar and vectorised frequency estimation, range sums,
+a JSON-friendly ``to_dict``/``from_dict`` round trip, and the named numpy
+columns the columnar pack stores (``to_columns``/``from_columns``).  This
+module makes that contract explicit as an abstract base class.
 
-The registry is the package's single dispatch point on synopsis kind: the
-IO layer, the serving store and the batch engine all route through it, so
-adding a new synopsis kind is one :func:`register_synopsis` call plus a
-builder registration — not an ``isinstance`` edit in every subsystem.
+The kinds are a closed set.  Each class names its own ``kind`` (the string
+in :class:`~repro.core.spec.SynopsisSpec` and in serialized payloads), and
+:func:`synopsis_class` maps a kind back to its class through one fixed
+table, so the IO layer, the serving store and the batch engine dispatch on
+kind without an ``isinstance`` chain.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Any, ClassVar, Dict, Tuple, Type
 
 import numpy as np
@@ -26,13 +26,10 @@ from ..exceptions import SynopsisError
 
 __all__ = [
     "Synopsis",
-    "register_synopsis",
     "synopsis_class",
     "synopsis_kinds",
     "synopsis_kind_of",
 ]
-
-_REGISTRY: Dict[str, Type["Synopsis"]] = {}
 
 
 class Synopsis(abc.ABC):
@@ -46,7 +43,7 @@ class Synopsis(abc.ABC):
 
     __slots__ = ()
 
-    #: The registry name of this synopsis kind; set by :func:`register_synopsis`.
+    #: The name of this synopsis kind, set in each class body.
     kind: ClassVar[str]
 
     # ------------------------------------------------------------------
@@ -97,59 +94,49 @@ class Synopsis(abc.ABC):
     def from_dict(cls, payload: Dict[str, Any]) -> "Synopsis":
         """Inverse of :meth:`to_dict`."""
 
+    @abc.abstractmethod
+    def to_columns(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """``(meta, columns)`` as the columnar pack stores them.
 
-def register_synopsis(kind: str):
-    """Class decorator registering a :class:`Synopsis` subclass under ``kind``.
+        ``meta`` holds JSON-friendly scalars; ``columns`` are the synopsis's
+        own arrays, **by reference** — treat them as read-only.
+        """
 
-    The kind string becomes the class's ``kind`` attribute, its discriminator
-    in serialized payloads, and its name in :class:`~repro.core.spec.SynopsisSpec`.
-    Registering the same kind twice is an error unless it is the same class
-    (idempotent re-imports are fine).
-    """
-
-    def decorate(cls: Type[Synopsis]) -> Type[Synopsis]:
-        existing = _REGISTRY.get(kind)
-        if existing is not None and existing is not cls:
-            raise SynopsisError(
-                f"synopsis kind {kind!r} is already registered to {existing.__name__}"
-            )
-        cls.kind = kind
-        _REGISTRY[kind] = cls
-        return cls
-
-    return decorate
+    @classmethod
+    @abc.abstractmethod
+    def from_columns(cls, meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> "Synopsis":
+        """Inverse of :meth:`to_columns`; adopts the column arrays without copying."""
 
 
-def _ensure_builtin_kinds() -> None:
-    # The built-in value objects register themselves at import; import them
-    # lazily so the registry is complete even when this module is imported
-    # directly (and to keep the module import-cycle free).  The partitioned
-    # composite lives outside repro.core but is every bit as built-in.
-    from . import histogram, wavelet  # noqa: F401
-    from ..partition import synopsis  # noqa: F401
+@functools.cache
+def _classes() -> Dict[str, Type[Synopsis]]:
+    # Imported here because each class's module imports this one.
+    from ..partition.synopsis import PartitionedSynopsis
+    from .histogram import Histogram
+    from .wavelet import WaveletSynopsis
+
+    return {cls.kind: cls for cls in (Histogram, PartitionedSynopsis, WaveletSynopsis)}
 
 
 def synopsis_class(kind: str) -> Type[Synopsis]:
-    """The registered :class:`Synopsis` subclass for ``kind``."""
-    _ensure_builtin_kinds()
+    """The :class:`Synopsis` subclass for ``kind``."""
+    classes = _classes()
     try:
-        return _REGISTRY[kind]
+        return classes[kind]
     except KeyError:
-        valid = ", ".join(sorted(_REGISTRY))
+        valid = ", ".join(sorted(classes))
         raise SynopsisError(
             f"unknown synopsis kind {kind!r}; expected one of: {valid}"
         ) from None
 
 
 def synopsis_kinds() -> Tuple[str, ...]:
-    """All registered synopsis kinds, sorted."""
-    _ensure_builtin_kinds()
-    return tuple(sorted(_REGISTRY))
+    """All synopsis kinds, sorted."""
+    return tuple(sorted(_classes()))
 
 
 def synopsis_kind_of(synopsis: Synopsis) -> str:
-    """The registry kind of a synopsis instance (its serialisation discriminator)."""
-    _ensure_builtin_kinds()
+    """The kind of a synopsis instance (its serialisation discriminator)."""
     if isinstance(synopsis, Synopsis):
         return type(synopsis).kind
     raise SynopsisError(

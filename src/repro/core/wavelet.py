@@ -13,18 +13,17 @@ thresholding algorithms live in :mod:`repro.wavelets`.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
 from ..exceptions import SynopsisError
 from ._validation import check_item_ranges
-from .synopsis import Synopsis, register_synopsis
+from .synopsis import Synopsis
 
 __all__ = ["WaveletSynopsis"]
 
 
-@register_synopsis("wavelet")
 class WaveletSynopsis(Synopsis):
     """A sparse Haar-coefficient synopsis over the ordered domain ``[0, n)``.
 
@@ -37,6 +36,8 @@ class WaveletSynopsis(Synopsis):
     domain_size:
         The size ``n`` of the original ordered domain.
     """
+
+    kind = "wavelet"
 
     __slots__ = ("_indices", "_values", "_domain_size", "_length", "_geometry")
 
@@ -282,3 +283,14 @@ class WaveletSynopsis(Synopsis):
         """Inverse of :meth:`to_dict`."""
         coefficients = {int(k): float(v) for k, v in payload["coefficients"].items()}
         return cls(coefficients, int(payload["domain_size"]))
+
+    def to_columns(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """The domain size and the two coefficient columns of :meth:`column_arrays`."""
+        return {"domain_size": self._domain_size}, self.column_arrays()
+
+    @classmethod
+    def from_columns(
+        cls, meta: Dict[str, Any], columns: Dict[str, np.ndarray]
+    ) -> "WaveletSynopsis":
+        """Inverse of :meth:`to_columns`, through :meth:`from_arrays` (no copies)."""
+        return cls.from_arrays(columns["indices"], columns["values"], int(meta["domain_size"]))

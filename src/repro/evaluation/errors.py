@@ -49,7 +49,7 @@ def _distributions_of(data: DataLike) -> FrequencyDistributions:
 
 def estimates_of(synopsis: SynopsisLike, domain_size: int) -> np.ndarray:
     """Frequency estimates ``ĝ`` of a synopsis, as a length-``domain_size`` vector."""
-    # Protocol dispatch: any registered Synopsis supplies its own estimates;
+    # Protocol dispatch: any Synopsis supplies its own estimates;
     # anything else is treated as a raw estimate vector.
     if isinstance(synopsis, Synopsis):
         estimates = synopsis.estimates()

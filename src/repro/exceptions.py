@@ -8,6 +8,31 @@ evaluation requests.
 
 from __future__ import annotations
 
+import sys
+import warnings
+
+
+def warn_at_caller(warning: Warning) -> None:
+    """Warn at the first frame outside the package (and ``dataclasses``).
+
+    The package's warnings are about a request, so they belong on the line
+    that made it: a spec built through a generated dataclass ``__init__`` or
+    ``dataclasses.replace``, or a build reached through the store, still
+    reports the caller's file and line, and each call site warns once under
+    Python's default filter.
+    """
+    frame = sys._getframe(1)
+    stacklevel = 2
+    while frame.f_back is not None:
+        if str(frame.f_globals.get("__name__")).partition(".")[0] not in (
+            "repro",
+            "dataclasses",
+        ):
+            break
+        frame = frame.f_back
+        stacklevel += 1
+    warnings.warn(warning, stacklevel=stacklevel)
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""

@@ -40,7 +40,6 @@ from .kernels import (
     VectorizedKernel,
     available_kernels,
     get_kernel,
-    register_kernel,
     resolve_kernel,
 )
 from .max_error import MaxAbsoluteCost, MaxAbsoluteRelativeCost
@@ -57,7 +56,6 @@ __all__ = [
     "DivideConquerKernel",
     "CompiledVectorizedKernel",
     "CompiledDivideConquerKernel",
-    "register_kernel",
     "get_kernel",
     "resolve_kernel",
     "available_kernels",

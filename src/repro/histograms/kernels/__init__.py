@@ -38,7 +38,6 @@ from .registry import (
     AUTO_KERNEL,
     available_kernels,
     get_kernel,
-    register_kernel,
     resolve_kernel,
 )
 from .vectorized import VectorizedKernel
@@ -52,7 +51,6 @@ __all__ = [
     "CompiledVectorizedKernel",
     "CompiledDivideConquerKernel",
     "AUTO_KERNEL",
-    "register_kernel",
     "get_kernel",
     "resolve_kernel",
     "available_kernels",

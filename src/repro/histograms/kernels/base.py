@@ -140,7 +140,7 @@ class DynamicProgramResult:
 class DPKernel(abc.ABC):
     """One interchangeable solver for the histogram dynamic program."""
 
-    #: Registry name of the kernel (``"exact"``, ``"vectorized"``, ...).
+    #: The kernel's name in the kernel table (``"exact"``, ``"vectorized"``, ...).
     name: str = ""
 
     def available(self) -> bool:

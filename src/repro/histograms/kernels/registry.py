@@ -1,9 +1,9 @@
-"""Registry of interchangeable DP kernels.
+"""The fixed table of interchangeable DP kernels.
 
-Kernels register under a short name (``"exact"``, ``"vectorized"``,
-``"divide_conquer"``, ``"compiled_vectorized"``, ``"compiled_divide_conquer"``);
-callers request one by name or pass ``"auto"`` to let the registry pick the
-fastest kernel that solves the given oracle exactly:
+The five kernels are listed under a short name each (``"exact"``,
+``"vectorized"``, ``"divide_conquer"``, ``"compiled_vectorized"``,
+``"compiled_divide_conquer"``); callers request one by name or pass
+``"auto"`` to pick the fastest kernel that solves the given oracle exactly:
 
 * cumulative metrics with monotone split points → the compiled divide and
   conquer when the compiled backend (the C library) is available and
@@ -26,10 +26,9 @@ and the resolved kernel, so the substitution is loud instead of silent.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Tuple, Type
+from typing import Dict, Tuple
 
-from ...exceptions import KernelFallbackWarning, SynopsisError
+from ...exceptions import KernelFallbackWarning, SynopsisError, warn_at_caller
 from ..cost_base import BucketCostFunction
 from .base import DPKernel
 from .compiled import CompiledDivideConquerKernel, CompiledVectorizedKernel
@@ -37,12 +36,22 @@ from .divide_conquer import DivideConquerKernel
 from .exact import ExactKernel
 from .vectorized import VectorizedKernel
 
-__all__ = ["register_kernel", "get_kernel", "resolve_kernel", "available_kernels", "AUTO_KERNEL"]
+__all__ = ["get_kernel", "resolve_kernel", "available_kernels", "AUTO_KERNEL"]
 
 #: Name accepted everywhere a kernel can be chosen; resolves per-oracle.
 AUTO_KERNEL = "auto"
 
-_REGISTRY: Dict[str, DPKernel] = {}
+#: Every kernel by name, in the order :func:`available_kernels` lists them.
+_REGISTRY: Dict[str, DPKernel] = {
+    kernel.name: kernel
+    for kernel in (
+        ExactKernel(),
+        VectorizedKernel(),
+        DivideConquerKernel(),
+        CompiledVectorizedKernel(),
+        CompiledDivideConquerKernel(),
+    )
+}
 
 #: Fallback preference order used by ``auto`` and unsupported named requests.
 _AUTO_ORDER = (
@@ -54,17 +63,8 @@ _AUTO_ORDER = (
 )
 
 
-def register_kernel(kernel_cls: Type[DPKernel]) -> Type[DPKernel]:
-    """Register a kernel class under its ``name`` (usable as a decorator)."""
-    kernel = kernel_cls()
-    if not kernel.name or kernel.name == AUTO_KERNEL:
-        raise SynopsisError(f"kernel {kernel_cls.__name__} needs a non-reserved name")
-    _REGISTRY[kernel.name] = kernel
-    return kernel_cls
-
-
 def available_kernels() -> Tuple[str, ...]:
-    """Names of all registered kernels *usable right now*, in registration order.
+    """Names of all kernels *usable right now*, in table order.
 
     Compiled kernels drop out when no compiled backend is available, so the
     listing always reflects what a request can actually run.
@@ -73,7 +73,7 @@ def available_kernels() -> Tuple[str, ...]:
 
 
 def get_kernel(name: str) -> DPKernel:
-    """The registered kernel called ``name`` (no suitability check)."""
+    """The kernel called ``name`` (no suitability check)."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -83,10 +83,10 @@ def get_kernel(name: str) -> DPKernel:
 
 def _first_suitable(cost_fn: BucketCostFunction) -> DPKernel:
     for fallback in _AUTO_ORDER:
-        kernel = _REGISTRY.get(fallback)
-        if kernel is not None and kernel.available() and kernel.supports(cost_fn):
+        kernel = _REGISTRY[fallback]
+        if kernel.available() and kernel.supports(cost_fn):
             return kernel
-    return get_kernel("exact")
+    return _REGISTRY["exact"]
 
 
 def resolve_kernel(name: str, cost_fn: BucketCostFunction) -> DPKernel:
@@ -106,19 +106,11 @@ def resolve_kernel(name: str, cost_fn: BucketCostFunction) -> DPKernel:
         reason = "is not available in this environment" if not kernel.available() else (
             "cannot solve this oracle exactly"
         )
-        warnings.warn(
+        warn_at_caller(
             KernelFallbackWarning(
                 f"kernel {name!r} {reason}; resolved to {resolved.name!r} "
                 "(the optimum is unchanged, only the speed)"
-            ),
-            stacklevel=2,
+            )
         )
         return resolved
     return _first_suitable(cost_fn)
-
-
-register_kernel(ExactKernel)
-register_kernel(VectorizedKernel)
-register_kernel(DivideConquerKernel)
-register_kernel(CompiledVectorizedKernel)
-register_kernel(CompiledDivideConquerKernel)

@@ -4,17 +4,11 @@ The JSON interchange format round-trips every model and synopsis exactly: it
 is the format of model files, of ``build-histogram`` / ``build-wavelet``
 output and of :func:`read_synopsis`, and the debugging surface.
 :mod:`repro.io.binary_format` is the versioned columnar pack format, the
-serving store's on-disk format, with zero-copy memory-mapped loads.
+serving store's on-disk format, with zero-copy memory-mapped loads; each
+synopsis class supplies its own columns (``to_columns``/``from_columns``).
 """
 
-from .binary_format import (
-    PACK_VERSION,
-    ColumnarCodec,
-    SynopsisPack,
-    codec_for,
-    codec_kinds,
-    register_codec,
-)
+from .binary_format import PACK_VERSION, SynopsisPack
 from .text_format import (
     model_from_dict,
     model_to_dict,
@@ -29,12 +23,8 @@ from .text_format import (
 )
 
 __all__ = [
-    "ColumnarCodec",
     "SynopsisPack",
     "PACK_VERSION",
-    "register_codec",
-    "codec_for",
-    "codec_kinds",
     "model_to_dict",
     "model_from_dict",
     "write_model",

@@ -9,7 +9,7 @@ re-materialise every array.  This module is the on-disk format of
 * **one append-only pack file per store** (``synopses.pack``) holding every
   synopsis's numeric payload as 64-byte-aligned little-endian numpy segments
   followed by a compact JSON meta blob (segment names/dtypes/shapes, the
-  codec meta, the build config), the whole entry covered by a CRC-32;
+  synopsis's own meta, the build config), the whole entry covered by a CRC-32;
 * **one fixed-record index file** (``synopses.idx``) appended in lock-step —
   ``key -> (offset, length, meta span, checksum)`` — that a fresh process
   loads with a single :func:`numpy.frombuffer` call, so opening a store with
@@ -19,10 +19,11 @@ re-materialise every array.  This module is the on-disk format of
   the batch query engine without copying and resident memory stays sublinear
   in the entry count (the OS pages in only what queries touch).
 
-Per-kind column schemas are provided by :class:`ColumnarCodec` objects routed
-through the same kind registry that :class:`~repro.core.spec.SynopsisSpec`
-and the JSON layer use — adding a synopsis kind to the columnar format is one
-:func:`register_codec` call, not an ``isinstance`` edit.
+Each synopsis class carries its own column schema: ``put`` stores what
+:meth:`~repro.core.synopsis.Synopsis.to_columns` returns, and ``get``
+rebuilds the synopsis with ``synopsis_class(kind).from_columns``, through
+the same fixed kind table that :class:`~repro.core.spec.SynopsisSpec` and
+the JSON layer use.
 
 Any damage — truncated pack, bad magic, unsupported version, checksum
 mismatch, torn index record — surfaces as a typed
@@ -32,31 +33,20 @@ never a cryptic numpy reshape or JSON decode traceback.
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import shutil
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.histogram import Histogram
-from ..core.synopsis import Synopsis, synopsis_kind_of
-from ..core.wavelet import WaveletSynopsis
+from ..core.synopsis import Synopsis, synopsis_class, synopsis_kind_of
 from ..exceptions import StoreCorruptionError, SynopsisError
-from ..partition.synopsis import PartitionedSynopsis
 
-__all__ = [
-    "ColumnarCodec",
-    "register_codec",
-    "codec_for",
-    "codec_kinds",
-    "SynopsisPack",
-    "PACK_VERSION",
-]
+__all__ = ["SynopsisPack", "PACK_VERSION"]
 
 PathLike = Union[str, Path]
 
@@ -88,149 +78,6 @@ _INDEX_RECORD = np.dtype(
 
 def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
-
-
-# ----------------------------------------------------------------------
-# Per-kind column schemas (codec registry)
-# ----------------------------------------------------------------------
-class ColumnarCodec(abc.ABC):
-    """Maps one synopsis kind to named numpy columns and back.
-
-    ``to_columns`` returns the synopsis's internal arrays *by reference*
-    (callers must treat them as read-only); ``from_columns`` rebuilds the
-    synopsis through the value objects' ``from_arrays`` fast paths, adopting
-    the given views without copying.
-    """
-
-    #: The registry kind this codec serialises; set by :func:`register_codec`.
-    kind: ClassVar[str]
-
-    @abc.abstractmethod
-    def to_columns(self, synopsis: Synopsis) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        """``(meta, columns)``: JSON-friendly scalars + named payload arrays."""
-
-    @abc.abstractmethod
-    def from_columns(self, meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> Synopsis:
-        """Inverse of :meth:`to_columns`; must not copy the column arrays."""
-
-
-_CODECS: Dict[str, ColumnarCodec] = {}
-
-
-def register_codec(kind: str):
-    """Class decorator registering a :class:`ColumnarCodec` under ``kind``.
-
-    Mirrors :func:`~repro.core.synopsis.register_synopsis`: the kind string
-    keys the codec in serialized pack entries.  Re-registering a different
-    codec for the same kind is an error.
-    """
-
-    def decorate(cls: Type[ColumnarCodec]) -> Type[ColumnarCodec]:
-        existing = _CODECS.get(kind)
-        if existing is not None and type(existing) is not cls:
-            raise SynopsisError(
-                f"columnar codec for kind {kind!r} is already registered to "
-                f"{type(existing).__name__}"
-            )
-        cls.kind = kind
-        _CODECS[kind] = cls()
-        return cls
-
-    return decorate
-
-
-def codec_for(kind: str) -> ColumnarCodec:
-    """The registered codec for ``kind`` (every built-in kind has one)."""
-    try:
-        return _CODECS[kind]
-    except KeyError:
-        valid = ", ".join(sorted(_CODECS))
-        raise SynopsisError(
-            f"no columnar codec registered for synopsis kind {kind!r}; "
-            f"expected one of: {valid}"
-        ) from None
-
-
-def codec_kinds() -> Tuple[str, ...]:
-    """All synopsis kinds the columnar format can store, sorted."""
-    return tuple(sorted(_CODECS))
-
-
-@register_codec("histogram")
-class HistogramCodec(ColumnarCodec):
-    """Histogram = three parallel bucket columns plus the domain size."""
-
-    def to_columns(self, synopsis: Synopsis) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        assert isinstance(synopsis, Histogram)
-        return {"domain_size": synopsis.domain_size}, synopsis.column_arrays()
-
-    def from_columns(self, meta: Dict[str, Any], columns: Dict[str, np.ndarray]) -> Histogram:
-        return Histogram.from_arrays(
-            columns["starts"],
-            columns["ends"],
-            columns["representatives"],
-            int(meta["domain_size"]),
-        )
-
-
-@register_codec("wavelet")
-class WaveletCodec(ColumnarCodec):
-    """Wavelet synopsis = sorted coefficient index/value columns."""
-
-    def to_columns(self, synopsis: Synopsis) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        assert isinstance(synopsis, WaveletSynopsis)
-        return {"domain_size": synopsis.domain_size}, synopsis.column_arrays()
-
-    def from_columns(
-        self, meta: Dict[str, Any], columns: Dict[str, np.ndarray]
-    ) -> WaveletSynopsis:
-        return WaveletSynopsis.from_arrays(
-            columns["indices"], columns["values"], int(meta["domain_size"])
-        )
-
-
-@register_codec("partitioned")
-class PartitionedCodec(ColumnarCodec):
-    """Partitioned synopsis = span columns plus namespaced per-shard columns.
-
-    Each shard's own codec contributes its columns under a ``shard{i}/``
-    prefix, and the meta block records every shard's kind, meta and column
-    names so loading regroups and dispatches without inspecting types.
-    """
-
-    def to_columns(self, synopsis: Synopsis) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        assert isinstance(synopsis, PartitionedSynopsis)
-        columns: Dict[str, np.ndarray] = dict(synopsis.column_arrays())
-        shard_meta: List[Dict[str, Any]] = []
-        for i, shard in enumerate(synopsis.shards):
-            codec = codec_for(synopsis_kind_of(shard))
-            meta_i, columns_i = codec.to_columns(shard)
-            shard_meta.append(
-                {"kind": codec.kind, "meta": meta_i, "columns": list(columns_i)}
-            )
-            for name, array in columns_i.items():
-                columns[f"shard{i}/{name}"] = array
-        meta = {"domain_size": synopsis.domain_size, "shards": shard_meta}
-        return meta, columns
-
-    def from_columns(
-        self, meta: Dict[str, Any], columns: Dict[str, np.ndarray]
-    ) -> PartitionedSynopsis:
-        shards: List[Synopsis] = []
-        for i, entry in enumerate(meta["shards"]):
-            codec = codec_for(entry["kind"])
-            local = {name: columns[f"shard{i}/{name}"] for name in entry["columns"]}
-            shards.append(codec.from_columns(entry["meta"], local))
-        built = PartitionedSynopsis.from_arrays(
-            columns["span_starts"], columns["span_ends"], shards
-        )
-        declared = meta.get("domain_size")
-        if declared is not None and int(declared) != built.domain_size:
-            raise SynopsisError(
-                f"pack entry declares domain_size {declared} but the shards tile "
-                f"{built.domain_size} items"
-            )
-        return built
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +241,9 @@ class SynopsisPack:
             raise SynopsisError(
                 f"columnar store keys must be 1-64 ASCII characters, got {key!r}"
             )
-        codec = codec_for(synopsis_kind_of(synopsis))
-        meta, columns = codec.to_columns(synopsis)
+        kind = synopsis_kind_of(synopsis)
+        synopsis_class(kind)  # refuse a kind that get() could not decode
+        meta, columns = synopsis.to_columns()
         with open(self._pack_path, "r+b") as pack:
             pack.seek(0, os.SEEK_END)
             base = pack.tell()
@@ -423,7 +271,7 @@ class SynopsisPack:
                 )
             meta_payload = {
                 "key": key,
-                "kind": codec.kind,
+                "kind": kind,
                 "config": dict(config or {}),
                 "meta": meta,
                 "segments": segments,
@@ -522,11 +370,12 @@ class SynopsisPack:
                 columns[segment["name"]] = (
                     view[start: start + nbytes].view(dtype).reshape(segment["shape"])
                 )
-            codec = codec_for(payload["kind"])
-            synopsis = codec.from_columns(payload.get("meta", {}), columns)
+            synopsis = synopsis_class(payload["kind"]).from_columns(
+                payload.get("meta", {}), columns
+            )
         except (KeyError, TypeError, ValueError) as exc:
-            # SynopsisError is a ValueError, so codec/value-object rejections
-            # of inconsistent payloads land here too.
+            # SynopsisError is a ValueError, so an unknown kind and the value
+            # objects' rejections of inconsistent payloads land here too.
             raise StoreCorruptionError(
                 f"cannot decode entry {key[:16]}...: {exc}", path=self._pack_path
             ) from exc
@@ -568,11 +417,6 @@ class SynopsisPack:
                     row["crc_ok"] = False
             report.append(row)
         return report
-
-    def verify(self) -> None:
-        """Check every live entry decodes and checksums; raises on the first failure."""
-        for key in self.keys():
-            self.get(key)
 
     @property
     def dead_records(self) -> int:
@@ -629,9 +473,3 @@ class SynopsisPack:
             f"SynopsisPack({str(self._directory)!r}, entries={len(self._entries)}, "
             f"dead_records={self.dead_records})"
         )
-
-
-def _iterate_columns(synopsis: Synopsis) -> Iterable[Tuple[str, np.ndarray]]:
-    """All (name, array) payload columns a synopsis would persist (tests/tools)."""
-    _, columns = codec_for(synopsis_kind_of(synopsis)).to_columns(synopsis)
-    return columns.items()

@@ -143,17 +143,17 @@ def write_basic_text(model: BasicModel, path: PathLike) -> Path:
 # Synopses
 # ----------------------------------------------------------------------
 def synopsis_to_dict(synopsis: Synopsis) -> dict:
-    """JSON-friendly self-describing representation of any registered synopsis.
+    """JSON-friendly self-describing representation of any synopsis.
 
-    Dispatches through the :mod:`repro.core.synopsis` kind registry, so a new
-    synopsis kind serialises here the moment it is registered.
+    The ``synopsis`` tag is the class's own ``kind``; the body is its
+    ``to_dict``.
     """
     kind = synopsis_kind_of(synopsis)  # raises SynopsisError for foreign types
     return {"synopsis": kind, **synopsis.to_dict()}
 
 
 def synopsis_from_dict(payload: dict) -> Synopsis:
-    """Inverse of :func:`synopsis_to_dict` (registry-dispatched on the kind tag)."""
+    """Inverse of :func:`synopsis_to_dict` (dispatched on the kind tag)."""
     kind = payload.get("synopsis")
     if not isinstance(kind, str):
         raise SynopsisError(f"unknown synopsis kind {kind!r} in payload")

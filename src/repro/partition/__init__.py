@@ -14,8 +14,8 @@ composition rather than by a new solver:
   global budget *optimally* across shards — the same convexity-free
   combination the paper's error-tree DP performs per node, applied across
   shards (an exact DP, with a greedy heuristic kept for comparison);
-* the result is a :class:`PartitionedSynopsis`, a registered
-  :class:`~repro.core.synopsis.Synopsis` kind that routes range queries to
+* the result is a :class:`PartitionedSynopsis`, one of the fixed
+  :class:`~repro.core.synopsis.Synopsis` kinds, which routes range queries to
   only the shards they overlap — so the store, the batch engine, the IO
   layer and the CLI all serve it with zero special-casing.
 

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.builders import NormalisedData, build, register_builder
+from ..core.builders import NormalisedData, build
 from ..core.spec import SynopsisSpec
 from ..core.synopsis import Synopsis
 from ..evaluation.errors import expected_error
@@ -218,9 +218,8 @@ def build_shards(
     return builds
 
 
-@register_builder("partitioned")
-def _build_partitioned(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
-    """Builder-registry entry: partition, sweep, allocate, assemble."""
+def build_partitioned(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
+    """The partitioned kind's builder: partition, sweep, allocate, assemble."""
     distributions = (
         data.to_frequency_distributions() if isinstance(data, ProbabilisticModel) else data
     )

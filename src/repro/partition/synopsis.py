@@ -1,7 +1,7 @@
 """The partitioned synopsis value object: shards behind one read surface.
 
-A :class:`PartitionedSynopsis` composes ``K`` per-shard synopses (any
-registered kind — histograms, wavelets, a mix in principle) over contiguous
+A :class:`PartitionedSynopsis` composes ``K`` per-shard synopses (of any
+kind — histograms, wavelets, a mix in principle) over contiguous
 item spans that tile the ordered domain, and implements the full
 :class:`~repro.core.synopsis.Synopsis` protocol on top of them:
 
@@ -14,8 +14,9 @@ item spans that tile the ordered domain, and implements the full
 
 Like every synopsis here it is an immutable value object: construction
 parameters live in :class:`~repro.core.spec.SynopsisSpec` and the build
-algorithm in :mod:`repro.partition.builder`.  Registering the kind makes the
-IO layer, the store and the batch engine serve it with no special-casing.
+algorithm in :mod:`repro.partition.builder`.  It is one of the fixed synopsis
+kinds (``kind = "partitioned"``), so the IO layer, the store and the batch
+engine serve it with no special-casing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 import numpy as np
 
 from ..core._validation import check_item_ranges
-from ..core.synopsis import Synopsis, register_synopsis
+from ..core.synopsis import Synopsis, synopsis_class
 from ..exceptions import SynopsisError
 
 __all__ = ["PartitionedSynopsis"]
@@ -33,7 +34,6 @@ __all__ = ["PartitionedSynopsis"]
 Span = Tuple[int, int]
 
 
-@register_synopsis("partitioned")
 class PartitionedSynopsis(Synopsis):
     """``K`` per-shard synopses over contiguous spans tiling ``[0, n)``.
 
@@ -47,6 +47,8 @@ class PartitionedSynopsis(Synopsis):
         One :class:`~repro.core.synopsis.Synopsis` per span, each covering
         exactly its span's width (shard-local domain ``[0, width)``).
     """
+
+    kind = "partitioned"
 
     __slots__ = ("_spans", "_synopses", "_domain_size", "_starts", "_ends")
 
@@ -165,15 +167,6 @@ class PartitionedSynopsis(Synopsis):
         """The per-shard synopses, in domain order."""
         return self._synopses
 
-    def column_arrays(self) -> Dict[str, np.ndarray]:
-        """The span columns, **by reference** — treat as read-only.
-
-        ``{span_starts, span_ends}`` exactly as the columnar storage format
-        persists them (shard payloads are serialised by the shards' own
-        codecs); the inverse of :meth:`from_arrays`.
-        """
-        return {"span_starts": self._starts, "span_ends": self._ends}
-
     def shard_of(self, item: int) -> int:
         """Index of the shard owning ``item``."""
         if not 0 <= item < self._domain_size:
@@ -278,7 +271,7 @@ class PartitionedSynopsis(Synopsis):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PartitionedSynopsis":
-        """Inverse of :meth:`to_dict` (shards dispatch through the kind registry)."""
+        """Inverse of :meth:`to_dict` (each shard's payload names its kind)."""
         from ..io import synopsis_from_dict
 
         shards = payload.get("shards")
@@ -294,6 +287,41 @@ class PartitionedSynopsis(Synopsis):
         if declared is not None and int(declared) != built.domain_size:
             raise SynopsisError(
                 f"payload declares domain_size {declared} but the shards tile "
+                f"{built.domain_size} items"
+            )
+        return built
+
+    def to_columns(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """Span columns plus namespaced per-shard columns.
+
+        Each shard contributes its own columns under a ``shard{i}/`` prefix,
+        and the meta block records every shard's kind, meta and column names
+        so loading regroups and dispatches without inspecting types.
+        """
+        columns: Dict[str, np.ndarray] = {"span_starts": self._starts, "span_ends": self._ends}
+        shard_meta: List[Dict[str, Any]] = []
+        for i, shard in enumerate(self._synopses):
+            meta_i, columns_i = shard.to_columns()
+            shard_meta.append({"kind": shard.kind, "meta": meta_i, "columns": list(columns_i)})
+            for name, array in columns_i.items():
+                columns[f"shard{i}/{name}"] = array
+        meta = {"domain_size": self._domain_size, "shards": shard_meta}
+        return meta, columns
+
+    @classmethod
+    def from_columns(
+        cls, meta: Dict[str, Any], columns: Dict[str, np.ndarray]
+    ) -> "PartitionedSynopsis":
+        """Inverse of :meth:`to_columns`, through :meth:`from_arrays` (no copies)."""
+        shards: List[Synopsis] = []
+        for i, entry in enumerate(meta["shards"]):
+            local = {name: columns[f"shard{i}/{name}"] for name in entry["columns"]}
+            shards.append(synopsis_class(entry["kind"]).from_columns(entry["meta"], local))
+        built = cls.from_arrays(columns["span_starts"], columns["span_ends"], shards)
+        declared = meta.get("domain_size")
+        if declared is not None and int(declared) != built.domain_size:
+            raise SynopsisError(
+                f"pack entry declares domain_size {declared} but the shards tile "
                 f"{built.domain_size} items"
             )
         return built

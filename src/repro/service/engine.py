@@ -90,7 +90,7 @@ class BatchQueryEngine:
     ----------
     synopsis:
         Any :class:`~repro.core.synopsis.Synopsis` implementation to serve
-        (histogram, wavelet, or a future registered kind).
+        (histogram, wavelet or partitioned).
     per_item_errors:
         Optional length-``n`` vector of per-item expected errors
         ``E[err(g_i, ĝ_i)]`` used by :meth:`attribute_errors`; typically
@@ -110,7 +110,7 @@ class BatchQueryEngine:
         metric: Union[str, ErrorMetric, MetricSpec, None] = None,
     ):
         # Protocol check, not a kind check: anything implementing the
-        # Synopsis contract is servable, including future registered kinds.
+        # Synopsis contract is servable.
         if not isinstance(synopsis, Synopsis):
             raise EvaluationError(
                 f"cannot serve synopsis of type {type(synopsis).__name__}; "

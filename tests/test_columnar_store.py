@@ -6,18 +6,21 @@ on-disk format, and its integration into :class:`~repro.service.SynopsisStore`:
 * hypothesis property tests: every synopsis kind round-trips through the pack
   with **bit-identical** column arrays and identical batch-query answers, and
   the loaded views are read-only (mutation raises);
+* golden bytes: one hand-built entry of each kind lays out a pack and an
+  index whose sha256 digests are pinned;
 * reload equivalence: synopses built through the store reload from a fresh
   store bit-identically, and answer like a JSON interchange round trip,
   across all three kinds x metrics x budgets;
 * typed corruption: truncated packs, bad magic, unsupported versions, CRC
-  mismatches, torn index records and malformed meta blobs all surface as
-  :class:`~repro.StoreCorruptionError` naming the offending file;
+  mismatches, torn index records, malformed meta blobs and unknown kinds all
+  surface as :class:`~repro.StoreCorruptionError` naming the offending file;
 * serving behaviour: LRU eviction degrades to a disk hit, stats attribute
   timings and disk hits, retired JSON stores and unknown formats are
   rejected and migrated entries keep hitting, the disk path runs through
   ``get``/``put``, compaction reclaims superseded payload bytes.
 """
 
+import hashlib
 import json
 import zlib
 
@@ -34,7 +37,7 @@ from repro import (
     SynopsisSpec,
     WaveletSynopsis,
 )
-from repro.core.synopsis import synopsis_kinds
+from repro.core.synopsis import synopsis_class, synopsis_kinds
 from repro.datasets import zipf_value_pdf
 from repro.exceptions import SynopsisError
 from repro.io import synopsis_from_dict, synopsis_to_dict
@@ -45,8 +48,6 @@ from repro.io.binary_format import (
     _HEADER,
     _INDEX_MAGIC,
     _PACK_MAGIC,
-    codec_for,
-    codec_kinds,
 )
 from repro.service import SynopsisStore, fingerprint_data
 
@@ -135,16 +136,9 @@ any_synopsis = st.one_of(histograms(), wavelets(), partitioned_synopses())
 
 def assert_columns_bit_identical(original, loaded):
     """Every payload column of ``loaded`` equals ``original``'s bit for bit."""
-    kind = type(original).__name__
     assert type(loaded) is type(original)
-    _, expected = codec_for(
-        {"Histogram": "histogram", "WaveletSynopsis": "wavelet",
-         "PartitionedSynopsis": "partitioned"}[kind]
-    ).to_columns(original)
-    _, found = codec_for(
-        {"Histogram": "histogram", "WaveletSynopsis": "wavelet",
-         "PartitionedSynopsis": "partitioned"}[kind]
-    ).to_columns(loaded)
+    _, expected = original.to_columns()
+    _, found = loaded.to_columns()
     assert set(expected) == set(found)
     for name, array in expected.items():
         assert found[name].dtype == np.asarray(array).dtype
@@ -191,12 +185,7 @@ class TestPackRoundTrip:
         pack = SynopsisPack(directory)
         pack.put("k", synopsis, {})
         loaded, _ = pack.get("k")
-        kind = {
-            Histogram: "histogram",
-            WaveletSynopsis: "wavelet",
-            PartitionedSynopsis: "partitioned",
-        }[type(loaded)]
-        _, columns = codec_for(kind).to_columns(loaded)
+        _, columns = loaded.to_columns()
         for array in columns.values():
             if array.size:
                 with pytest.raises(ValueError):
@@ -212,6 +201,56 @@ class TestPackRoundTrip:
         assert row["segments"]
         for segment in row["segments"]:
             assert segment["offset"] % ALIGNMENT == 0
+
+
+# ----------------------------------------------------------------------
+# Golden bytes: the on-disk layout moves only with PACK_VERSION
+# ----------------------------------------------------------------------
+def golden_entries():
+    """One hand-built entry per kind; the partitioned one mixes both bases."""
+    histogram = Histogram.from_boundaries([(0, 2), (3, 7)], [1.5, -0.25], 8)
+    wavelet = WaveletSynopsis({0: 3.0, 5: -1.125}, 6)
+    partitioned = PartitionedSynopsis(
+        [(0, 3), (4, 8)],
+        [
+            Histogram.from_boundaries([(0, 1), (2, 3)], [2.0, 0.5], 4),
+            WaveletSynopsis({0: 4.0, 3: 0.75}, 5),
+        ],
+    )
+    return [
+        ("hist", histogram, {"budget": 2, "kind": "histogram"}),
+        ("wave", wavelet, {"budget": 2, "kind": "wavelet"}),
+        ("part", partitioned, {"budget": 4, "kind": "partitioned"}),
+    ]
+
+
+class TestPackGoldenBytes:
+    # The sha256 of both files as the version-1 writer lays them out.  A
+    # layout change must bump PACK_VERSION, and these digests, on purpose.
+    PACK_SHA256 = "1c5c66fc6132e3113d8c42dd58884846f39fc76a31747ac135256eaf65ff5a0e"
+    INDEX_SHA256 = "8e22c9479257b41f2d85e458859901d6507dcbda7ca7a9baecae87ebcc847e92"
+
+    def test_pack_and_index_bytes_are_pinned(self, tmp_path):
+        pack = SynopsisPack(tmp_path)
+        for key, synopsis, config in golden_entries():
+            pack.put(key, synopsis, config)
+        pack.close()
+        assert PACK_VERSION == 1
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in (SynopsisPack.PACK_NAME, SynopsisPack.INDEX_NAME)
+        }
+        assert digests == {
+            SynopsisPack.PACK_NAME: self.PACK_SHA256,
+            SynopsisPack.INDEX_NAME: self.INDEX_SHA256,
+        }
+        fresh = SynopsisPack(tmp_path)
+        assert fresh.keys() == ("hist", "wave", "part")
+        for key, synopsis, config in golden_entries():
+            loaded, loaded_config = fresh.get(key)
+            assert type(loaded) is type(synopsis)
+            assert loaded == synopsis and loaded_config == config
+            assert_same_answers(synopsis, loaded)
 
 
 # ----------------------------------------------------------------------
@@ -250,10 +289,11 @@ class TestBackendEquivalence:
         assert_same_answers(built, from_pack)
         assert_same_answers(from_json, from_pack)
 
-    def test_codec_registry_covers_every_kind(self):
-        # The pack is the store's only on-disk format: a kind without a
-        # codec could be built but never stored.
-        assert codec_kinds() == synopsis_kinds()
+    def test_every_kind_has_columns(self):
+        # The pack is the store's only on-disk format: a kind without its
+        # own columns could be built but never stored.
+        for kind in synopsis_kinds():
+            assert not synopsis_class(kind).__abstractmethods__, kind
 
 
 # ----------------------------------------------------------------------
@@ -315,29 +355,47 @@ class TestCorruption:
         with pytest.raises(StoreCorruptionError, match="companion"):
             SynopsisPack(packed)
 
-    def test_malformed_meta_blob(self, tmp_path):
-        pack = SynopsisPack(tmp_path)
-        synopsis = Histogram.from_boundaries([(0, 3)], [1.0], 4)
-        pack.put("entry", synopsis, {})
+    @staticmethod
+    def rewrite_meta(directory, rewrite):
+        """Put one histogram entry, replace its meta blob, re-stamp its CRC."""
+        pack = SynopsisPack(directory)
+        pack.put("entry", Histogram.from_boundaries([(0, 3)], [1.0], 4), {})
         entry = pack._entry(b"entry")
-        pack_file = tmp_path / SynopsisPack.PACK_NAME
+        pack_file = directory / SynopsisPack.PACK_NAME
         raw = bytearray(pack_file.read_bytes())
-        meta = bytearray(b"{" * entry["meta_length"])
-        raw[entry["meta_offset"]: entry["meta_offset"] + entry["meta_length"]] = meta
+        span = slice(entry["meta_offset"], entry["meta_offset"] + entry["meta_length"])
+        meta = rewrite(bytes(raw[span]))
+        assert len(meta) == entry["meta_length"]
+        raw[span] = meta
         pack_file.write_bytes(bytes(raw))
-        # Re-stamp the index record's CRC so only the JSON parse fails, not
-        # the checksum: the crc32 field sits after the key (64) and the four
+        # Re-stamp the index record's CRC so only the decode fails, not the
+        # checksum: the crc32 field sits after the key (64) and the four
         # uint64 spans (32) of the 104-byte record, behind the 16-byte header.
         body = raw[entry["offset"]: entry["offset"] + entry["length"]]
         record_crc = zlib.crc32(bytes(body))
-        index_file = tmp_path / SynopsisPack.INDEX_NAME
+        index_file = directory / SynopsisPack.INDEX_NAME
         index_raw = bytearray(index_file.read_bytes())
         index_raw[_HEADER.size + 96: _HEADER.size + 100] = record_crc.to_bytes(
             4, "little"
         )
         index_file.write_bytes(bytes(index_raw))
+        return pack_file
+
+    def test_malformed_meta_blob(self, tmp_path):
+        self.rewrite_meta(tmp_path, lambda meta: b"{" * len(meta))
         with pytest.raises(StoreCorruptionError, match="meta blob"):
             SynopsisPack(tmp_path).get("entry")
+
+    def test_unknown_kind_is_corruption(self, tmp_path):
+        # A kind this build cannot decode, of the same byte length, so the
+        # blob stays well-formed JSON and the entry keeps its layout.
+        pack_file = self.rewrite_meta(
+            tmp_path,
+            lambda meta: meta.replace(b'"kind":"histogram"', b'"kind":"sketch_v1"'),
+        )
+        with pytest.raises(StoreCorruptionError, match="cannot decode") as info:
+            SynopsisPack(tmp_path).get("entry")
+        assert info.value.path == pack_file
 
     def test_describe_verify_reports_instead_of_raising(self, packed):
         pack_file = packed / SynopsisPack.PACK_NAME
@@ -361,6 +419,16 @@ class TestCorruption:
             pack.put("k" * 65, synopsis)
         with pytest.raises(UnicodeEncodeError):
             pack.put("clé", synopsis)
+
+    def test_put_refuses_a_kind_it_could_not_read_back(self, tmp_path):
+        class Sketch(Histogram):
+            kind = "sketch"
+
+        pack = SynopsisPack(tmp_path)
+        with pytest.raises(SynopsisError, match="sketch"):
+            pack.put("k", Sketch.from_boundaries([(0, 3)], [1.0], 4))
+        assert len(pack) == 0
+        assert (tmp_path / SynopsisPack.PACK_NAME).stat().st_size == _HEADER.size
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Kernel-equivalence tests: every registered DP kernel finds the same optimum.
+"""Kernel-equivalence tests: every DP kernel finds the same optimum.
 
 The engine's contract is that kernel choice can never change the result —
 only the wall clock.  These tests pin that down three ways:

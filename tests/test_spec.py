@@ -1,4 +1,4 @@
-"""Spec-layer tests: golden store keys, round-trips, validation, registry.
+"""Spec-layer tests: golden store keys, round-trips, validation, kind table.
 
 The golden-key matrix pins the exact SHA-256 store keys the pre-spec release
 derived for a representative grid of build configurations.  Any refactor of
@@ -361,7 +361,7 @@ class TestBudgetClampWarning:
 
 
 class TestSynopsisProtocol:
-    """Kind routing goes through the registry, not isinstance chains."""
+    """Kind routing goes through the fixed kind table, not isinstance chains."""
 
     def test_builtin_kinds_registered(self):
         assert synopsis_kinds() == ("histogram", "partitioned", "wavelet")
@@ -384,7 +384,7 @@ class TestSynopsisProtocol:
 
     def test_no_kind_isinstance_dispatch_in_service_or_io(self):
         # Acceptance criterion: engine and io must not branch on concrete
-        # synopsis classes; everything routes through the protocol/registry.
+        # synopsis classes; everything routes through the protocol and kind table.
         from pathlib import Path
 
         import repro.io.text_format as io_mod
