@@ -9,12 +9,12 @@ PRs can track the partition trajectory from one machine-readable artefact:
 Two sections:
 
 * **parallel build** — one large single-domain histogram DP (the pre-partition
-  baseline) against the sharded build driver, serial and with a process pool.
-  Sharding wins twice: the DP is superlinear in ``n``, so ``K`` shards of
-  ``n/K`` items do roughly ``1/K`` of the arithmetic even serially, and the
-  pool then overlaps the shard sweeps.  The headline target: the partitioned
-  parallel build must beat the single-domain DP by at least 2x at
-  ``n >= 16384`` with 4 shards.
+  baseline) against the sharded build, which sweeps its shards on a pool of
+  ``min(K, os.cpu_count())`` threads.  Sharding wins twice: the DP is
+  superlinear in ``n``, so ``K`` shards of ``n/K`` items do roughly ``1/K``
+  of the arithmetic, and the threads then overlap the shard sweeps.  The
+  headline target: the partitioned build must beat the single-domain DP by
+  at least 2x at ``n >= 16384`` with 4 shards.
 * **allocation audit** — on a matrix of small shard-curve instances built
   from real per-shard DP sweeps, the exact min-plus allocator must match
   exhaustive enumeration of every budget split *exactly*; the greedy
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,7 @@ from repro._version import __version__
 from repro.core.spec import PartitionSpec
 from repro.partition import BudgetAllocator, build_shards, shard_spans
 
-#: Acceptance target: partitioned parallel build vs the single-domain DP.
+#: Acceptance target: partitioned build vs the single-domain DP.
 TARGET_SPEEDUP = 2.0
 SMOKE_TARGET_SPEEDUP = 1.5
 
@@ -50,58 +51,45 @@ def make_data(domain_size: int, seed: int) -> FrequencyDistributions:
     return FrequencyDistributions.deterministic(frequencies)
 
 
-def partitioned_spec(budget, shards, *, workers=None, allocation="exact") -> SynopsisSpec:
-    return SynopsisSpec(
-        kind="partitioned",
-        budget=budget,
-        metric="sse",
-        partition=PartitionSpec(shards=shards, allocation=allocation, workers=workers),
-    )
-
-
-def bench_parallel_build(domain_size: int, shards: int, budget: int, workers: int):
-    """Single-domain DP vs sharded builds (serial and pooled), same budget."""
+def bench_parallel_build(domain_size: int, shards: int, budget: int):
+    """Single-domain DP vs the sharded build, same budget."""
     data = make_data(domain_size, seed=42)
 
     start = time.perf_counter()
     flat = build(data, SynopsisSpec(budget=budget, metric="sse"))
     flat_seconds = time.perf_counter() - start
 
+    spec = SynopsisSpec(
+        kind="partitioned",
+        budget=budget,
+        metric="sse",
+        partition=PartitionSpec(shards=shards),
+    )
     start = time.perf_counter()
-    serial = build(data, partitioned_spec(budget, shards))
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = build(data, partitioned_spec(budget, shards, workers=workers))
-    parallel_seconds = time.perf_counter() - start
-
-    if parallel != serial:
-        raise AssertionError("pooled and serial shard builds must agree exactly")
+    partitioned = build(data, spec)
+    partitioned_seconds = time.perf_counter() - start
+    threads = min(shards, os.cpu_count() or 1)  # the shard builder's pool size
 
     flat_error = expected_error(data, flat, "sse")
-    part_error = expected_error(data, parallel, "sse")
+    part_error = expected_error(data, partitioned, "sse")
     if part_error + 1e-9 < flat_error:
         raise AssertionError(
             "a partitioned histogram cannot beat the unrestricted optimal DP"
         )
-    speedup_parallel = flat_seconds / parallel_seconds
-    speedup_serial = flat_seconds / serial_seconds
+    speedup = flat_seconds / partitioned_seconds
     print(
         f"[build n={domain_size} B={budget} K={shards}] flat {flat_seconds:.2f}s | "
-        f"sharded serial {serial_seconds:.2f}s ({speedup_serial:.1f}x) | "
-        f"sharded x{workers} workers {parallel_seconds:.2f}s ({speedup_parallel:.1f}x) | "
+        f"partitioned on {threads} thread(s) {partitioned_seconds:.2f}s ({speedup:.1f}x) | "
         f"error +{100 * (part_error / flat_error - 1):.2f}%"
     )
     return {
         "domain_size": domain_size,
         "shards": shards,
         "budget": budget,
-        "workers": workers,
+        "threads": threads,
         "flat_build_seconds": round(flat_seconds, 4),
-        "partitioned_serial_seconds": round(serial_seconds, 4),
-        "partitioned_parallel_seconds": round(parallel_seconds, 4),
-        "speedup_serial": round(speedup_serial, 2),
-        "speedup_parallel": round(speedup_parallel, 2),
+        "partitioned_seconds": round(partitioned_seconds, 4),
+        "speedup": round(speedup, 2),
         "flat_expected_sse": round(flat_error, 6),
         "partitioned_expected_sse": round(part_error, 6),
         "partitioned_error_overhead_pct": round(100 * (part_error / flat_error - 1), 3),
@@ -181,14 +169,13 @@ def main(argv=None) -> int:
     domain_size = 2048 if args.smoke else 16384
     budget = 32 if args.smoke else 64
     shards = 4
-    workers = 2 if args.smoke else 4
     target = SMOKE_TARGET_SPEEDUP if args.smoke else TARGET_SPEEDUP
 
-    build_section = bench_parallel_build(domain_size, shards, budget, workers)
+    build_section = bench_parallel_build(domain_size, shards, budget)
     allocation_section = bench_allocation(96 if args.smoke else 192)
 
     meets_target = (
-        build_section["speedup_parallel"] >= target
+        build_section["speedup"] >= target
         and allocation_section["all_exact_match_enumeration"]
     )
     payload = {
@@ -205,7 +192,7 @@ def main(argv=None) -> int:
     output = Path(args.output)
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(
-        f"\npartitioned build speedup {build_section['speedup_parallel']}x "
+        f"\npartitioned build speedup {build_section['speedup']}x "
         f"(target {target}x); exact allocator "
         f"{'==' if allocation_section['all_exact_match_enumeration'] else '!='} "
         f"enumeration; wrote {output}"

@@ -49,7 +49,6 @@ from .exceptions import (
     StoreCorruptionError,
     SynopsisError,
     VersionMismatchError,
-    WorkerClampWarning,
     WorldEnumerationError,
 )
 from .partition import PartitionedSynopsis
@@ -106,5 +105,4 @@ __all__ = [
     "BudgetClampWarning",
     "BudgetSweepWarning",
     "KernelFallbackWarning",
-    "WorkerClampWarning",
 ]

@@ -27,8 +27,9 @@ Installed as ``repro-synopses``.  Sub-commands:
     configuration are cache hits that skip the dynamic program.  The build
     configuration is either the individual flags or a serialized
     :class:`repro.core.SynopsisSpec` passed as ``--spec FILE``; ``--shards K``
-    builds a partitioned synopsis (sharded parallel DP builds, optimal
-    cross-shard budget allocation) over the configured base kind.
+    builds a partitioned synopsis (shard DP sweeps on a thread pool sized
+    from the CPU count, optimal cross-shard budget allocation) over the
+    configured base kind.
 
 ``query``
     Answer point / range-sum / range-avg queries against a served synopsis
@@ -101,7 +102,6 @@ _SERVING_DEFAULTS = {
     "shards": None,
     "partition_strategy": "equal_width",
     "allocation": "exact",
-    "workers": None,
 }
 
 
@@ -151,10 +151,6 @@ def _serving_config_parser() -> argparse.ArgumentParser:
         default=_SERVING_DEFAULTS["allocation"],
         help="cross-shard budget allocation: optimal min-plus DP or the "
         "greedy heuristic",
-    )
-    serving_config.add_argument(
-        "--workers", type=int, default=_SERVING_DEFAULTS["workers"], metavar="N",
-        help="process-pool size for the parallel shard builds (default: serial)",
     )
     return serving_config
 
@@ -411,7 +407,7 @@ def _serving_spec(args: argparse.Namespace) -> SynopsisSpec:
     if args.shards is None:
         partition_flags = [
             f"--{name.replace('_', '-')}"
-            for name in ("partition_strategy", "allocation", "workers")
+            for name in ("partition_strategy", "allocation")
             if getattr(args, name) != _SERVING_DEFAULTS[name]
         ]
         if partition_flags:
@@ -429,7 +425,6 @@ def _serving_spec(args: argparse.Namespace) -> SynopsisSpec:
             strategy=args.partition_strategy,
             allocation=args.allocation,
             base=args.synopsis,
-            workers=args.workers,
         )
         kind = "partitioned"
     return SynopsisSpec(

@@ -31,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,7 +39,6 @@ from ..exceptions import (
     BudgetClampWarning,
     BudgetSweepWarning,
     SynopsisError,
-    WorkerClampWarning,
     warn_at_caller,
 )
 from .metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
@@ -150,12 +148,6 @@ class PartitionSpec:
         comparison).
     base:
         The per-shard synopsis kind (``"histogram"`` or ``"wavelet"``).
-    workers:
-        Process-pool size for the parallel shard builds; ``None`` or ``0``
-        builds serially.  Counts above ``os.cpu_count()`` are clamped with a
-        :class:`~repro.exceptions.WorkerClampWarning` (oversubscription only
-        adds pool overhead).  Parallelism cannot change the result, so this
-        knob is excluded from :meth:`canonical` (and hence from store keys).
     """
 
     shards: int
@@ -163,7 +155,6 @@ class PartitionSpec:
     cuts: Optional[Tuple[int, ...]] = None
     allocation: str = "exact"
     base: str = "histogram"
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         count = _coerce_int(self.shards, "the shard count")
@@ -205,33 +196,12 @@ class PartitionSpec:
                 f"the per-shard base kind must be one of {PARTITION_BASE_KINDS}, "
                 f"got {self.base!r} (partitions do not nest)"
             )
-        if self.workers is not None:
-            workers = _coerce_int(self.workers, "the worker count")
-            if workers < 0:
-                raise SynopsisError(f"the worker count must be non-negative, got {workers}")
-            cpus = os.cpu_count()
-            if cpus is not None and workers > cpus:
-                # Oversubscribing a CPU-bound process pool only adds pool
-                # overhead (workers=4 on a 1-CPU box benchmarks ~1.6x
-                # *slower* than serial); clamp loudly rather than oblige.
-                warn_at_caller(
-                    WorkerClampWarning(
-                        f"workers={workers} exceeds the {cpus} available CPU(s); "
-                        f"clamping to {cpus}"
-                    )
-                )
-                workers = cpus
-            object.__setattr__(self, "workers", workers)
 
     # ------------------------------------------------------------------
     # Canonical form and serialisation
     # ------------------------------------------------------------------
     def canonical(self) -> Dict[str, Any]:
-        """The cache-key view of the partition block.
-
-        ``workers`` drops out: how many processes built the shards cannot
-        change what was built, so it must not fragment the store.
-        """
+        """The cache-key view of the partition block."""
         config: Dict[str, Any] = {
             "shards": self.shards,
             "strategy": self.strategy,
@@ -244,10 +214,7 @@ class PartitionSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """Complete JSON-friendly representation (inverse of :meth:`from_dict`)."""
-        payload = self.canonical()
-        if self.workers is not None:
-            payload["workers"] = self.workers
-        return payload
+        return self.canonical()
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PartitionSpec":
@@ -256,7 +223,7 @@ class PartitionSpec:
             raise SynopsisError(
                 f"a partition block must be a mapping, got {type(payload).__name__}"
             )
-        known = {"shards", "strategy", "cuts", "allocation", "base", "workers"}
+        known = {"shards", "strategy", "cuts", "allocation", "base"}
         unknown = set(payload) - known
         if unknown:
             raise SynopsisError(
@@ -274,7 +241,6 @@ class PartitionSpec:
             cuts=cuts,
             allocation=payload.get("allocation", "exact"),
             base=payload.get("base", "histogram"),
-            workers=payload.get("workers"),
         )
 
 

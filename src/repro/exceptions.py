@@ -10,6 +10,27 @@ from __future__ import annotations
 
 import sys
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, List, Optional
+
+_HELD: ContextVar[Optional[List[Warning]]] = ContextVar("repro_held_warnings", default=None)
+
+
+@contextmanager
+def held_warnings() -> Iterator[List[Warning]]:
+    """Collect the package's warnings raised inside the block instead of raising them.
+
+    A shard sweep on a pool thread has no caller frame on its stack, so it
+    holds its warnings and the thread that asked for the build raises them
+    again with :func:`warn_at_caller`.
+    """
+    held: List[Warning] = []
+    token = _HELD.set(held)
+    try:
+        yield held
+    finally:
+        _HELD.reset(token)
 
 
 def warn_at_caller(warning: Warning) -> None:
@@ -19,8 +40,13 @@ def warn_at_caller(warning: Warning) -> None:
     that made it: a spec built through a generated dataclass ``__init__`` or
     ``dataclasses.replace``, or a build reached through the store, still
     reports the caller's file and line, and each call site warns once under
-    Python's default filter.
+    Python's default filter.  Inside :func:`held_warnings` the warning is
+    appended to the held list instead.
     """
+    held = _HELD.get()
+    if held is not None:
+        held.append(warning)
+        return
     frame = sys._getframe(1)
     stacklevel = 2
     while frame.f_back is not None:
@@ -88,12 +114,13 @@ class VersionMismatchError(ProtocolError):
 class StoreCorruptionError(ReproError, RuntimeError):
     """Raised when a persisted synopsis store entry cannot be trusted.
 
-    Covers a truncated or overwritten columnar pack file, a bad magic string
-    or unsupported format version, an index or payload checksum mismatch,
-    and malformed JSON entries in the text backend.  The message always names
+    Covers a truncated or overwritten pack or index file, a missing
+    companion file, a bad magic string or unsupported format version, a torn
+    index record, a payload checksum mismatch, and an entry whose metadata
+    or columns cannot be decoded.  The message always names
     the offending path (also available as :attr:`path`), so operators see
-    "which file is damaged" instead of a cryptic numpy reshape or JSON
-    decode traceback.
+    "which file is damaged" instead of a cryptic numpy reshape or decode
+    traceback.
     """
 
     def __init__(self, message: str, *, path=None):
@@ -122,16 +149,6 @@ class KernelFallbackWarning(UserWarning):
     fallback used to be silent; this warning names both the requested and
     the resolved kernel so the caller can fix the call site (or install a C
     compiler).
-    """
-
-
-class WorkerClampWarning(UserWarning):
-    """Warned when a requested worker count exceeds the available CPUs.
-
-    Oversubscribing a process pool cannot speed a CPU-bound shard build up —
-    it measurably slows it down (pure pool overhead on a smaller machine) —
-    so :class:`~repro.core.spec.PartitionSpec` clamps ``workers`` to
-    ``os.cpu_count()`` and makes the clamp visible instead of silent.
     """
 
 

@@ -5,11 +5,12 @@ The single-domain dynamic programs of :mod:`repro.histograms` and
 serving layer can realistically stand up.  This subsystem lifts that cap by
 composition rather than by a new solver:
 
-* a :class:`Partitioner` splits the ordered domain ``[0, n)`` into ``K``
+* :func:`shard_spans` splits the ordered domain ``[0, n)`` into ``K``
   contiguous shards (equal-width, equal-mass, or explicit cuts);
-* the build driver runs the unchanged per-shard DP sweeps concurrently
-  (``ProcessPoolExecutor`` with a serial fallback), collecting each shard's
-  full error-vs-budget curve from one tabulation;
+* the build driver runs the unchanged per-shard DP sweeps on a thread pool
+  of ``min(K, os.cpu_count())`` threads (the sweeps spend their time in
+  numpy and the compiled kernels, which release the GIL), collecting each
+  shard's full error-vs-budget curve from one tabulation;
 * a :class:`BudgetAllocator` min-plus-combines the ``K`` curves to split the
   global budget *optimally* across shards — the same convexity-free
   combination the paper's error-tree DP performs per node, applied across
@@ -27,11 +28,10 @@ synopses" section of DESIGN.md.
 
 from .allocator import Allocation, BudgetAllocator
 from .builder import ShardBuild, build_shards
-from .partitioner import Partitioner, shard_spans
+from .partitioner import shard_spans
 from .synopsis import PartitionedSynopsis
 
 __all__ = [
-    "Partitioner",
     "shard_spans",
     "BudgetAllocator",
     "Allocation",

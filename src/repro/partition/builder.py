@@ -2,12 +2,12 @@
 
 The partitioned builder is a composition of machinery that already exists:
 
-1. the :class:`~repro.partition.partitioner.Partitioner` splits the domain
-   into ``K`` contiguous shards;
+1. :func:`~repro.partition.partitioner.shard_spans` splits the domain into
+   ``K`` contiguous shards;
 2. every shard runs the unchanged per-kind DP **sweep** (one tabulation
-   serves all budgets) over its slice of the data — concurrently in a
-   ``ProcessPoolExecutor`` when the spec asks for workers, serially
-   otherwise (and as an automatic fallback when a pool cannot be stood up);
+   serves all budgets) over its slice of the data, on a thread pool of
+   ``min(K, os.cpu_count())`` threads — the sweeps spend their time in numpy
+   and the compiled kernels, which release the GIL;
 3. each shard reports its full error-vs-budget curve — evaluated with the
    exact :func:`repro.evaluation.errors.expected_error` machinery, so curve
    entries *are* the shard's contribution to the global objective;
@@ -26,13 +26,11 @@ allocator table are shared across all requested budgets.
 
 from __future__ import annotations
 
+import contextvars
 import os
-import pickle
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from ..core.builders import NormalisedData, build
 from ..core.spec import SynopsisSpec
 from ..core.synopsis import Synopsis
 from ..evaluation.errors import expected_error
-from ..exceptions import SynopsisError
+from ..exceptions import SynopsisError, held_warnings, warn_at_caller
 from ..models.base import ProbabilisticModel
 from ..models.frequency import FrequencyDistributions
 from ..telemetry import adopt_spans, capture_spans, tracing_active
@@ -56,17 +54,12 @@ __all__ = ["ShardBuild", "build_shards"]
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything one worker process needs to sweep a single shard."""
+    """Everything one pool thread needs to sweep a single shard."""
 
     span: Span
     data: FrequencyDistributions
     spec: SynopsisSpec  # base-kind sweep spec, shard-local workload inside
     zero_weight: bool  # the shard's workload weights are all zero
-    #: Capture the shard's telemetry span tree and ship it home.  Set by the
-    #: parent when *its* tracing is active — pool children under spawn do not
-    #: inherit the parent's telemetry flag, so the decision travels with the
-    #: task rather than relying on ambient state.
-    trace: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,11 +72,6 @@ class ShardBuild:
     #: ``curve[b]`` is the shard's exact expected error under budget ``b``;
     #: ``numpy.inf`` marks infeasible budgets (index 0 for histograms).
     curve: np.ndarray
-    #: Telemetry span trees captured while sweeping this shard (empty unless
-    #: the task asked for tracing).  Plain picklable dataclasses, so they
-    #: cross the ProcessPoolExecutor boundary inside this result and the
-    #: parent grafts them into its live trace via ``adopt_spans``.
-    spans: Tuple[TraceSpan, ...] = ()
 
     def synopsis_for(self, budget: int) -> Synopsis:
         """The shard synopsis built for one allocated budget."""
@@ -112,50 +100,23 @@ def _sweep_shard(task: _ShardTask) -> ShardBuild:
     return ShardBuild(task.span, budgets, synopses, curve)
 
 
-def _solve_shard(task: _ShardTask) -> ShardBuild:
-    """Sweep one shard, optionally under a locally-captured span tree.
+def _solve_shard(
+    task: _ShardTask,
+) -> Tuple[ShardBuild, List[TraceSpan], List[Warning]]:
+    """Sweep one shard on a pool thread, holding its spans and warnings.
 
-    Module-level (not a closure) so tasks travel to pool workers by pickle.
-    When the task asks for tracing, the sweep runs inside a detached
-    ``capture_spans`` collector — recording works even in a spawned child
-    whose global telemetry flag is off, and in the serial fallback the
-    detachment keeps the tree out of the live parent span so every shard is
-    grafted back through the same ``adopt_spans`` path, exactly once.
+    The thread runs in a copy of the caller's context, so it traces exactly
+    when the caller does.  Its tree is captured detached from the caller's
+    live span and its warnings are held, so the caller can graft the one and
+    raise the other in shard order, on its own line.
     """
-    if not task.trace:
-        return _sweep_shard(task)
-    with capture_spans(detach=True) as captured:
-        with trace_span(
-            "build.shard",
-            start=task.span[0],
-            end=task.span[1],
-            pid=os.getpid(),
-        ):
-            result = _sweep_shard(task)
-    return ShardBuild(
-        result.span, result.budgets, result.synopses, result.curve, tuple(captured)
-    )
-
-
-def _run_tasks(tasks: List[_ShardTask], workers: Optional[int]) -> List[ShardBuild]:
-    """Run the shard sweeps, in a process pool when asked (serial fallback).
-
-    Worker *task* failures (a :class:`SynopsisError` from a shard DP)
-    propagate unchanged; only pool-infrastructure failures — no fork on the
-    platform, an unpicklable payload, a broken pool — degrade to the serial
-    path, loudly.
-    """
-    if workers and workers > 1 and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                return list(pool.map(_solve_shard, tasks))
-        except (OSError, BrokenProcessPool, pickle.PicklingError) as exc:
-            warnings.warn(
-                f"parallel shard build unavailable ({exc!r}); building serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return [_solve_shard(task) for task in tasks]
+    with held_warnings() as held:
+        if not tracing_active():
+            return _sweep_shard(task), [], held
+        with capture_spans(detach=True) as captured:
+            with trace_span("build.shard", start=task.span[0], end=task.span[1]):
+                result = _sweep_shard(task)
+    return result, captured, held
 
 
 def build_shards(
@@ -179,7 +140,6 @@ def build_shards(
     part = spec.partition
     minimum = 1 if part.base == "histogram" else 0
     max_budget = max(spec.budgets)
-    trace = tracing_active()
     tasks: List[_ShardTask] = []
     for start, end in spans:
         width = end - start + 1
@@ -206,15 +166,22 @@ def build_shards(
                 data=distributions.restrict(start, end),
                 spec=shard_spec,
                 zero_weight=zero_weight,
-                trace=trace,
             )
         )
-    builds = _run_tasks(tasks, part.workers)
-    if trace:
-        # Graft every shard's captured tree (possibly shipped back from a
-        # pool worker) into this process's live trace, in shard order.
-        for shard in builds:
-            adopt_spans(shard.spans)
+    with ThreadPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
+        # One context copy per task: a context can be entered by one thread
+        # at a time.
+        futures = [
+            pool.submit(contextvars.copy_context().run, _solve_shard, task)
+            for task in tasks
+        ]
+        outcomes = [future.result() for future in futures]
+    builds: List[ShardBuild] = []
+    for shard, tree, held in outcomes:
+        adopt_spans(tree)
+        for warning in held:
+            warn_at_caller(warning)
+        builds.append(shard)
     return builds
 
 
@@ -225,9 +192,7 @@ def build_partitioned(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis
     )
     part = spec.partition
     assert part is not None  # paired at spec construction
-    with trace_span(
-        "build.partition", workers=part.workers or 1, strategy=part.strategy
-    ) as trace:
+    with trace_span("build.partition", strategy=part.strategy) as trace:
         spans = shard_spans(distributions, part)
         trace.set(shards=len(spans))
         builds = build_shards(distributions, spans, spec)

@@ -6,8 +6,8 @@ span and engine-latency call sites check before they measure, so the
 serving hot path pays a single attribute check when observability is off.
 Each store and each daemon owns a :class:`MetricsRegistry`; the process-wide
 :func:`registry` holds only the engine and span families.  See DESIGN.md's
-"Telemetry" section for the instrument taxonomy and the span marshalling
-protocol across process pools.
+"Telemetry" section for the instrument taxonomy and for how a partitioned
+build grafts the spans of its pool threads into one tree.
 """
 
 from .exposition import CONTENT_TYPE, MetricFamily, parse_prometheus_text, render_prometheus

@@ -1,4 +1,4 @@
-"""Lightweight nested spans with cross-process marshalling.
+"""Lightweight nested spans, grafted across threads.
 
 A :class:`span` context manager records wall time (``perf_counter``) and CPU
 time (``process_time``) for one named stage and nests under whichever span is
@@ -11,17 +11,17 @@ Spans record when *either* of two switches is on:
 - the global telemetry flag (:func:`repro.telemetry.metrics.enable`) — spans
   then also feed the ``repro_span_*`` metric families so per-stage build time
   shows up in Prometheus exposition; or
-- a local :func:`capture_spans` collector — used by pool worker processes
-  (which do not inherit the parent's flag under spawn) and by the daemon's
+- a local :func:`capture_spans` collector — used by the daemon's
   slow-query log, which needs the span tree even when exposition is off.
 
 When neither is on, entering a span is one function call returning a shared
 :data:`NULL_SPAN`, so build-pipeline call sites stay unconditional.
 
-Finished :class:`Span` records are plain picklable dataclasses: a pool worker
-wraps its shard build in ``capture_spans()``, ships the captured list back in
-its result, and the parent grafts it into the live tree with
-:func:`adopt_spans`.
+A partitioned build sweeps its shards on pool threads, each in a copy of
+the caller's context: a shard wraps its sweep in ``capture_spans(detach=True)``
+and the caller grafts the captured trees into its live tree, in shard order,
+with :func:`adopt_spans`.  Each span feeds the metric families once, when it
+finishes, on whichever thread it ran.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ def capture_spans(detach: bool = False) -> Iterator[List[Span]]:
     """Collect every top-level span finished inside the block into a list.
 
     Recording happens regardless of the global telemetry flag — this is the
-    local switch used by pool workers and the slow-query log.  ``detach=True``
-    additionally hides any currently-active span so spans inside the block
-    root at the capture boundary instead of nesting upward (needed when the
-    serial fallback runs shard builds in-process under a live parent span,
-    where the trees will be grafted back explicitly via :func:`adopt_spans`).
+    local switch the slow-query log uses.  ``detach=True`` additionally hides
+    any currently-active span so spans inside the block root at the capture
+    boundary instead of nesting upward (a shard sweep on a pool thread runs
+    in a copy of the caller's context, under its live parent span, and its
+    tree is grafted back in shard order via :func:`adopt_spans`).
     """
     sink: List[Span] = []
     sink_token = _SINK.set(sink)
@@ -178,17 +178,13 @@ def capture_spans(detach: bool = False) -> Iterator[List[Span]]:
         _SINK.reset(sink_token)
 
 
-def adopt_spans(spans: Iterable[Span], record_metrics: bool = True) -> None:
-    """Graft spans finished elsewhere (another process) into the live tree.
+def adopt_spans(spans: Iterable[Span]) -> None:
+    """Graft spans finished elsewhere (a pool thread) into the live tree.
 
     Attaches to the active span if one exists, else to the active capture
-    sink.  With ``record_metrics`` (and telemetry enabled) the adopted trees
-    also feed the ``repro_span_*`` families, recursively — their in-process
-    finishes happened in a worker whose counters died with it.
+    sink.  The adopted spans fed the ``repro_span_*`` families when they
+    finished, so they are not counted again.
     """
-    spans = list(spans)
-    if not spans:
-        return
     parent = _ACTIVE.get()
     if parent is not None:
         parent.children.extend(spans)
@@ -196,10 +192,3 @@ def adopt_spans(spans: Iterable[Span], record_metrics: bool = True) -> None:
         sink = _SINK.get()
         if sink is not None:
             sink.extend(spans)
-    if record_metrics and STATE.enabled:
-        stack = list(spans)
-        while stack:
-            record = stack.pop()
-            _SPAN_COUNT.labels(span=record.name).inc()
-            _SPAN_WALL.labels(span=record.name).inc(record.wall_ms / 1000.0)
-            stack.extend(record.children)

@@ -14,7 +14,6 @@ The acceptance matrix of the subsystem:
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -29,10 +28,10 @@ from repro import (
 )
 from repro.cli import main
 from repro.core.workload import QueryWorkload
-from repro.exceptions import BudgetSweepWarning, SynopsisError, WorkerClampWarning
+from repro.exceptions import BudgetSweepWarning, SynopsisError
 from repro.io import synopsis_from_dict, synopsis_to_dict
 from repro.io.binary_format import SynopsisPack
-from repro.partition import BudgetAllocator, Partitioner, build_shards, shard_spans
+from repro.partition import BudgetAllocator, build_shards, shard_spans
 from repro.service import BatchQueryEngine, QueryBatch, SynopsisStore
 
 
@@ -50,7 +49,7 @@ def data(frequencies) -> FrequencyDistributions:
 def partitioned_spec(budget=12, shards=4, **kwargs) -> SynopsisSpec:
     partition_kwargs = {
         key: kwargs.pop(key)
-        for key in ("strategy", "cuts", "allocation", "base", "workers")
+        for key in ("strategy", "cuts", "allocation", "base")
         if key in kwargs
     }
     return SynopsisSpec(
@@ -62,25 +61,32 @@ def partitioned_spec(budget=12, shards=4, **kwargs) -> SynopsisSpec:
 
 
 # ----------------------------------------------------------------------
-# Partitioner
+# Shard spans
 # ----------------------------------------------------------------------
-class TestPartitioner:
+def spans_of(masses, **partition):
+    """The shard spans of deterministic data whose frequencies are ``masses``."""
+    return shard_spans(
+        FrequencyDistributions.deterministic(masses), PartitionSpec(**partition)
+    )
+
+
+class TestShardSpans:
     def test_equal_width_tiles_with_balanced_sizes(self):
-        spans = Partitioner("equal_width").spans(10, 3)
+        spans = spans_of(np.ones(10), shards=3)
         assert spans == ((0, 3), (4, 6), (7, 9))
         widths = [end - start + 1 for start, end in spans]
         assert max(widths) - min(widths) <= 1
 
     def test_equal_mass_cuts_at_balanced_mass(self):
         masses = np.array([10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        spans = Partitioner("equal_mass").spans(8, 2, masses=masses)
+        spans = spans_of(masses, shards=2, strategy="equal_mass")
         # Half the mass sits in item 0; the balanced cut is right after it.
         assert spans == ((0, 0), (1, 7))
 
     def test_equal_mass_keeps_all_shards_non_empty(self):
         masses = np.zeros(6)
         masses[5] = 1.0  # all mass in the last item
-        spans = Partitioner("equal_mass").spans(6, 3, masses=masses)
+        spans = spans_of(masses, shards=3, strategy="equal_mass")
         assert spans[0][0] == 0 and spans[-1][1] == 5
         assert all(end >= start for start, end in spans)
         assert len(spans) == 3
@@ -91,7 +97,7 @@ class TestPartitioner:
         for position in (0, 4, 50, 99):
             masses = np.full(100, 1e-12)
             masses[position] = 1.0
-            spans = Partitioner("equal_mass").spans(100, 4, masses=masses)
+            spans = spans_of(masses, shards=4, strategy="equal_mass")
             assert len(spans) == 4
             assert spans[0][0] == 0 and spans[-1][1] == 99
             for (_, end), (start, _) in zip(spans, spans[1:]):
@@ -106,29 +112,25 @@ class TestPartitioner:
         assert synopsis.domain_size == 64 and synopsis.shard_count == 4
 
     def test_equal_mass_zero_mass_falls_back_to_equal_width(self):
-        spans = Partitioner("equal_mass").spans(9, 3, masses=np.zeros(9))
-        assert spans == Partitioner("equal_width").spans(9, 3)
-
-    def test_equal_mass_needs_masses(self):
-        with pytest.raises(SynopsisError, match="masses"):
-            Partitioner("equal_mass").spans(8, 2)
+        spans = spans_of(np.zeros(9), shards=3, strategy="equal_mass")
+        assert spans == spans_of(np.zeros(9), shards=3)
 
     def test_explicit_cuts(self):
-        spans = Partitioner("explicit", cuts=(3, 7)).spans(10, 3)
+        spans = spans_of(np.ones(10), shards=3, strategy="explicit", cuts=(3, 7))
         assert spans == ((0, 2), (3, 6), (7, 9))
 
     @pytest.mark.parametrize("cuts", [(0, 4), (4, 4), (5, 4), (4, 12)])
     def test_explicit_rejects_bad_cuts(self, cuts):
         with pytest.raises(SynopsisError):
-            Partitioner("explicit", cuts=cuts).spans(10, 3)
+            spans_of(np.ones(10), shards=3, strategy="explicit", cuts=cuts)
 
     def test_too_many_shards_rejected(self):
         with pytest.raises(SynopsisError, match="non-empty"):
-            Partitioner("equal_width").spans(3, 4)
+            spans_of(np.ones(3), shards=4)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SynopsisError, match="unknown partition strategy"):
-            Partitioner("round_robin")
+            spans_of(np.ones(10), shards=3, strategy="round_robin")
 
     def test_shard_spans_uses_expectations_for_equal_mass(self, data):
         spans = shard_spans(data, PartitionSpec(shards=4, strategy="equal_mass"))
@@ -316,10 +318,16 @@ class TestBuildAllocation:
         weighted = expected_error(data, synopsis, "sae", workload=weights)
         assert np.isfinite(weighted) and weighted >= 0
 
-    def test_parallel_workers_match_serial(self, data):
+    def test_parallel_workers_match_serial(self, data, monkeypatch):
+        parallel = build(data, partitioned_spec(budget=10, shards=4))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial = build(data, partitioned_spec(budget=10, shards=4))
-        parallel = build(data, partitioned_spec(budget=10, shards=4, workers=2))
         assert parallel == serial
+
+    def test_unknown_cpu_count_builds_on_one_thread(self, data, monkeypatch):
+        default = build(data, partitioned_spec(budget=10, shards=4))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build(data, partitioned_spec(budget=10, shards=4)) == default
 
 
 # ----------------------------------------------------------------------
@@ -423,42 +431,22 @@ class TestPartitionSpec:
             PartitionSpec(shards=2, allocation="random")
         with pytest.raises(SynopsisError, match="do not nest"):
             PartitionSpec(shards=2, base="partitioned")
-        with pytest.raises(SynopsisError, match="worker count"):
-            PartitionSpec(shards=2, workers=-1)
 
     def test_spec_round_trip_and_keys(self):
         spec = partitioned_spec(
             budget=10, shards=3, strategy="explicit", cuts=(20, 50),
-            allocation="greedy", metric="sae", workers=4,
+            allocation="greedy", metric="sae",
         )
         clone = SynopsisSpec.from_json(spec.to_json())
         assert clone == spec
         assert clone.store_key("f" * 64) == spec.store_key("f" * 64)
         assert clone.partition.cuts == (20, 50)
 
-    def test_workers_do_not_fragment_the_cache(self):
-        serial = partitioned_spec(budget=10, shards=3)
-        pooled = partitioned_spec(budget=10, shards=3, workers=8)
-        assert serial.canonical() == pooled.canonical()
-        assert serial.store_key("f" * 64) == pooled.store_key("f" * 64)
-        # ... but the serialised form keeps the knob (as clamped, so the
-        # round trip is stable on any machine).
-        restored = SynopsisSpec.from_json(pooled.to_json()).partition.workers
-        assert restored == pooled.partition.workers
-        assert restored == min(8, os.cpu_count() or 8)
-
-    def test_workers_clamped_to_cpu_count(self):
-        cpus = os.cpu_count()
-        assert cpus is not None  # the clamp is a no-op on exotic platforms
-        with pytest.warns(WorkerClampWarning, match="clamping"):
-            spec = PartitionSpec(shards=2, workers=cpus + 5)
-        assert spec.workers == cpus
-        with warnings.catch_warnings():
-            # At or below the machine's CPU count nothing warns or changes.
-            warnings.simplefilter("error", WorkerClampWarning)
-            assert PartitionSpec(shards=2, workers=cpus).workers == cpus
-            assert PartitionSpec(shards=2, workers=0).workers == 0
-            assert PartitionSpec(shards=2).workers is None
+    def test_a_spec_file_naming_workers_is_refused(self):
+        payload = partitioned_spec(budget=10, shards=3).to_dict()
+        payload["partition"]["workers"] = 2
+        with pytest.raises(SynopsisError, match="workers"):
+            SynopsisSpec.from_dict(payload)
 
     def test_partition_parameters_change_the_key(self):
         base = partitioned_spec(budget=10, shards=3)

@@ -1,11 +1,10 @@
 """Tests for the dependency-free observability layer (repro.telemetry).
 
 Covers the typed instruments (which record whether or not telemetry is
-enabled), the span tracer (including
-pickling across process boundaries and grafting shipped-back trees), the
-Prometheus text exposition round trip, structured JSON logging, the
-disabled-telemetry overhead bound on the serving hot path, and the complete
-span tree of a partitioned multi-process build.
+enabled), the span tracer (including pickling spans and grafting trees
+finished elsewhere), the Prometheus text exposition round trip, structured
+JSON logging, the disabled-telemetry overhead bound on the serving hot
+path, and the complete span tree of a partitioned build on pool threads.
 """
 
 import io
@@ -13,8 +12,8 @@ import json
 import logging
 import os
 import pickle
+import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -390,48 +389,41 @@ class TestDisabledOverhead:
 
 
 # ----------------------------------------------------------------------
-# Build-pipeline span tree (partitioned, multi-process)
+# Build-pipeline span tree (partitioned builds on pool threads)
 # ----------------------------------------------------------------------
 class TestBuildSpanTree:
     def test_partitioned_build_produces_a_complete_span_tree(self, monkeypatch):
-        """A K=4, workers=2 partitioned build yields the full trace: partition
-        root, one shard span per shard carrying its builder pid (child
-        processes when a pool stands up), per-shard nested build spans, and
-        the allocation span."""
+        """A K=4 partitioned build on two threads yields the full trace:
+        partition root, one shard span per shard in shard order, per-shard
+        nested build spans, and the allocation span."""
         from repro.core.builders import build
         from repro.core.spec import PartitionSpec, SynopsisSpec
 
-        # The container may expose a single CPU, which would clamp workers=2
-        # down to the serial path at spec construction; the span-marshalling
-        # contract under test is the multi-process one.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = SynopsisSpec(
             kind="partitioned",
             budget=8,
             metric="sse",
-            partition=PartitionSpec(shards=4, base="histogram", workers=2),
+            partition=PartitionSpec(shards=4, base="histogram"),
         )
         rng = np.random.default_rng(11)
         frequencies = rng.integers(0, 30, size=64).astype(float)
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with capture_spans() as captured:
-                build(frequencies, spec)
-        pool_fell_back = any(
-            issubclass(w.category, RuntimeWarning) for w in caught
-        )
+        with capture_spans() as captured:
+            build(frequencies, spec)
 
         assert [record.name for record in captured] == ["build.synopsis"]
         root = captured[0]
         (partition,) = root.find("build.partition")
-        assert partition.attrs["workers"] == 2
         assert partition.attrs["shards"] == 4
 
         shards = [c for c in partition.children if c.name == "build.shard"]
-        assert len(shards) == 4
-        spans_covered = sorted((s.attrs["start"], s.attrs["end"]) for s in shards)
-        assert spans_covered[0][0] == 0 and spans_covered[-1][1] == 63
+        assert [(s.attrs["start"], s.attrs["end"]) for s in shards] == [
+            (0, 15),
+            (16, 31),
+            (32, 47),
+            (48, 63),
+        ]
         for shard in shards:
             # Every shard ran the full per-shard pipeline under its span.
             assert shard.find("build.synopsis")
@@ -441,12 +433,40 @@ class TestBuildSpanTree:
 
         assert partition.find("build.allocate")
 
-        shard_pids = {shard.attrs["pid"] for shard in shards}
-        if pool_fell_back:
-            assert shard_pids == {os.getpid()}
-        else:
-            # The trees were pickled home from pool workers.
-            assert os.getpid() not in shard_pids
+    def test_partitioned_build_counts_each_span_once(self, enabled, monkeypatch):
+        """Shard spans feed ``repro_span_total`` when they finish on a pool
+        thread; grafting them into the caller's tree does not count them
+        again.  Four threads on a short switch interval race their counter
+        updates, so a lost update would show as a short count."""
+        from repro.core.builders import build
+        from repro.core.spec import PartitionSpec, SynopsisSpec
+
+        count = telemetry.registry().get("repro_span_total")
+
+        def totals():
+            return {labels["span"]: child.value for labels, child in count.samples()}
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        spec = SynopsisSpec(
+            kind="partitioned",
+            budget=8,
+            metric="sse",
+            partition=PartitionSpec(shards=4, base="histogram"),
+        )
+        frequencies = np.random.default_rng(11).integers(0, 30, size=64).astype(float)
+        before = totals()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            build(frequencies, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        after = totals()
+        added = {
+            name: after[name] - before.get(name, 0.0)
+            for name in ("build.shard", "build.synopsis", "build.partition")
+        }
+        assert added == {"build.shard": 4, "build.synopsis": 5, "build.partition": 1}
 
     @pytest.mark.parametrize("metric,kernel", [("sse", "auto"), ("sae", "exact")])
     def test_optimal_histogram_build_span_tree(self, metric, kernel):
