@@ -14,7 +14,9 @@ Two sections:
   superlinear in ``n``, so ``K`` shards of ``n/K`` items do roughly ``1/K``
   of the arithmetic, and the threads then overlap the shard sweeps.  The
   headline target: the partitioned build must beat the single-domain DP by
-  at least 2x at ``n >= 16384`` with 4 shards.
+  at least 2x at ``n >= 16384`` with 4 shards.  Each build is timed
+  :data:`REPEATS` times and reported as its median with the min and max;
+  the speedup is median against median.
 * **allocation audit** — on a matrix of small shard-curve instances built
   from real per-shard DP sweeps, the exact min-plus allocator must match
   exhaustive enumeration of every budget split *exactly*; the greedy
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -43,6 +46,9 @@ from repro.partition import BudgetAllocator, build_shards, shard_spans
 TARGET_SPEEDUP = 2.0
 SMOKE_TARGET_SPEEDUP = 1.5
 
+#: Timed runs of each build; the report keeps their median, min and max.
+REPEATS = 5
+
 
 def make_data(domain_size: int, seed: int) -> FrequencyDistributions:
     """Deterministic counts with a bounded value grid (realistic frequencies)."""
@@ -51,23 +57,38 @@ def make_data(domain_size: int, seed: int) -> FrequencyDistributions:
     return FrequencyDistributions.deterministic(frequencies)
 
 
+def timed(run):
+    """The last result of ``REPEATS`` calls of ``run``, and each call's wall seconds."""
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - start)
+    return result, seconds
+
+
+def spread(values):
+    """The median of ``values`` with its min and max, rounded."""
+    return {
+        "median": round(statistics.median(values), 4),
+        "min": round(min(values), 4),
+        "max": round(max(values), 4),
+    }
+
+
 def bench_parallel_build(domain_size: int, shards: int, budget: int):
     """Single-domain DP vs the sharded build, same budget."""
     data = make_data(domain_size, seed=42)
-
-    start = time.perf_counter()
-    flat = build(data, SynopsisSpec(budget=budget, metric="sse"))
-    flat_seconds = time.perf_counter() - start
-
     spec = SynopsisSpec(
         kind="partitioned",
         budget=budget,
         metric="sse",
         partition=PartitionSpec(shards=shards),
     )
-    start = time.perf_counter()
-    partitioned = build(data, spec)
-    partitioned_seconds = time.perf_counter() - start
+    flat, flat_runs = timed(lambda: build(data, SynopsisSpec(budget=budget, metric="sse")))
+    partitioned, partitioned_runs = timed(lambda: build(data, spec))
+    flat_seconds = statistics.median(flat_runs)
+    partitioned_seconds = statistics.median(partitioned_runs)
     threads = min(shards, os.cpu_count() or 1)  # the shard builder's pool size
 
     flat_error = expected_error(data, flat, "sse")
@@ -78,7 +99,8 @@ def bench_parallel_build(domain_size: int, shards: int, budget: int):
         )
     speedup = flat_seconds / partitioned_seconds
     print(
-        f"[build n={domain_size} B={budget} K={shards}] flat {flat_seconds:.2f}s | "
+        f"[build n={domain_size} B={budget} K={shards}] median of {REPEATS}: "
+        f"flat {flat_seconds:.2f}s | "
         f"partitioned on {threads} thread(s) {partitioned_seconds:.2f}s ({speedup:.1f}x) | "
         f"error +{100 * (part_error / flat_error - 1):.2f}%"
     )
@@ -87,8 +109,9 @@ def bench_parallel_build(domain_size: int, shards: int, budget: int):
         "shards": shards,
         "budget": budget,
         "threads": threads,
-        "flat_build_seconds": round(flat_seconds, 4),
-        "partitioned_seconds": round(partitioned_seconds, 4),
+        "repeats": REPEATS,
+        "flat_build_seconds": spread(flat_runs),
+        "partitioned_seconds": spread(partitioned_runs),
         "speedup": round(speedup, 2),
         "flat_expected_sse": round(flat_error, 6),
         "partitioned_expected_sse": round(part_error, 6),

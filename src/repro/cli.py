@@ -261,21 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="interface to bind")
     serve.add_argument("--port", type=int, default=DEFAULT_PORT,
                        help=f"TCP port (default {DEFAULT_PORT}; 0 = any free port)")
-    serve.add_argument("--window-ms", type=float, default=_DAEMON_DEFAULTS.window_ms,
-                       help="delay a batch's flush this many milliseconds past its "
-                       "first query (0 = the next event-loop turn)")
     serve.add_argument("--max-pending", type=int, default=_DAEMON_DEFAULTS.max_pending,
                        help="admission control: total pending-queue depth")
     serve.add_argument("--max-inflight", type=int,
                        default=_DAEMON_DEFAULTS.max_inflight_per_client,
                        help="admission control: per-client in-flight cap")
-    serve.add_argument("--max-batch", type=int, default=_DAEMON_DEFAULTS.max_batch,
-                       help="flush a batch early at this many coalesced queries")
-    serve.add_argument("--max-engines", type=int, default=_DAEMON_DEFAULTS.max_engines,
-                       help="hot engine-cache size (evicted targets degrade to the store)")
-    serve.add_argument("--build-on-miss", action="store_true",
-                       help="rebuild a missing synopsis synchronously instead of "
-                       "answering 'unavailable'")
     serve.add_argument("--allow-remote-shutdown", action="store_true",
                        help="honour the wire 'shutdown' op (tests, CI)")
     serve.add_argument("--ready-file", metavar="FILE", default=None,
@@ -591,12 +581,8 @@ def _render_store_stats(store) -> str:
 def _daemon_config(args: argparse.Namespace) -> DaemonConfig:
     """The :class:`DaemonConfig` a parsed ``serve`` command line asks for."""
     return DaemonConfig(
-        window_ms=args.window_ms,
         max_pending=args.max_pending,
         max_inflight_per_client=args.max_inflight,
-        max_batch=args.max_batch,
-        max_engines=args.max_engines,
-        build_on_miss=args.build_on_miss,
         allow_remote_shutdown=args.allow_remote_shutdown,
         slow_query_ms=args.slow_query_ms,
     )
@@ -628,8 +614,7 @@ def _serve(args: argparse.Namespace) -> str:
         host, port = await daemon.start(args.host, args.port)
         names = ", ".join(sorted(targets))
         print(
-            f"serving {names} on {host}:{port} "
-            f"(window {config.window_ms}ms, pending cap {config.max_pending})",
+            f"serving {names} on {host}:{port} (pending cap {config.max_pending})",
             flush=True,
         )
         if args.ready_file:
@@ -657,8 +642,7 @@ def _serve(args: argparse.Namespace) -> str:
     stats = daemon.stats
     return (
         f"daemon drained and stopped: {stats.queries_answered} queries answered "
-        f"in {stats.engine_batches} engine batches, {stats.overloaded} overloaded, "
-        f"{stats.unavailable} unavailable"
+        f"in {stats.engine_batches} engine batches, {stats.overloaded} overloaded"
     )
 
 

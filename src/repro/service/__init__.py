@@ -18,7 +18,7 @@ those synopses up against query traffic:
   is the one place the CLI and the daemon turn answers into bytes;
 * :class:`ServingDaemon` — the asyncio TCP daemon
   (:mod:`repro.service.server`): micro-batching request coalescer,
-  admission control, graceful-degradation ladder, draining shutdown;
+  admission control, one resident engine per target, draining shutdown;
 * :class:`DaemonClient` — one wire connection to a running daemon
   (:mod:`repro.service.client`), used by ``repro-synopses telemetry``;
 * :func:`generate_query_mix` / :func:`replay` — seeded workload generation

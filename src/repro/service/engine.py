@@ -166,11 +166,6 @@ class BatchQueryEngine:
         """The metric spec error attribution runs under (``None`` if unset)."""
         return self._spec
 
-    @property
-    def has_error_attribution(self) -> bool:
-        """Whether :meth:`attribute_errors` is available."""
-        return self._per_item_errors is not None
-
     def __repr__(self) -> str:
         metric = self._spec.describe() if self._spec is not None else "none"
         return f"BatchQueryEngine({self._synopsis!r}, metric={metric})"

@@ -61,7 +61,6 @@ __all__ = [
     "responses_for",
     "latency_summary",
     "parse_request_line",
-    "request_id_of",
 ]
 
 #: Current wire-schema version.  Bump on any field change; additions that
@@ -83,9 +82,10 @@ STATUS_ERROR = "error"
 STATUS_OVERLOADED = "overloaded"
 STATUS_UNAVAILABLE = "unavailable"
 #: Every status a :class:`QueryResponse` may carry.  ``overloaded`` is the
-#: admission-control rejection (retry later); ``unavailable`` is the bottom
-#: rung of the daemon's degradation ladder (the synopsis cannot currently be
-#: served at all); ``error`` covers malformed or unanswerable requests.
+#: admission-control rejection (retry later); ``unavailable`` is reserved for
+#: a synopsis that cannot be served at all (the daemon keeps every target's
+#: engine resident, so it never sends it); ``error`` covers malformed or
+#: unanswerable requests.
 RESPONSE_STATUSES: Tuple[str, ...] = (
     STATUS_OK,
     STATUS_ERROR,
@@ -366,9 +366,8 @@ def error_response(request_id: Optional[RequestId], detail: str, *,
                    status: str = STATUS_ERROR) -> QueryResponse:
     """A rejection response for ``request_id`` (``"?"`` when the id is unknown).
 
-    Used for every non-``ok`` outcome: validation failures, admission-control
-    rejections (``status="overloaded"``) and degradation-ladder rejections
-    (``status="unavailable"``).
+    Used for every non-``ok`` outcome: validation failures and
+    admission-control rejections (``status="overloaded"``).
     """
     return QueryResponse(
         id="?" if request_id is None else request_id, status=status, detail=detail
@@ -500,19 +499,3 @@ def parse_request_line(line: Union[str, bytes]) -> Dict[str, Any]:
             f"request line must be a JSON object, got {type(payload).__name__}"
         )
     return payload
-
-
-def request_id_of(line: Union[str, bytes]) -> Optional[RequestId]:
-    """Best-effort id extraction from a possibly-malformed line.
-
-    Lets the daemon echo the client's id on *error* responses whenever the
-    line parsed far enough to carry one, so clients can correlate failures.
-    """
-    try:
-        payload = parse_request_line(line)
-    except ProtocolError:
-        return None
-    request_id = payload.get("id")
-    if isinstance(request_id, bool) or not isinstance(request_id, (int, str)):
-        return None
-    return request_id

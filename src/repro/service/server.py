@@ -1,19 +1,18 @@
-"""Asyncio serving daemon: micro-batching, admission control, degradation.
+"""Asyncio serving daemon: micro-batching and admission control.
 
 :class:`ServingDaemon` stands the library's serving layer up as a process:
 newline-delimited JSON over TCP (stdlib only — no web framework), one
 query in the wire form of :class:`~repro.service.protocol.QueryRequest` per
 line in, one :class:`~repro.service.protocol.QueryResponse` per line out.
-Three mechanisms make it a serving tier rather than a socket wrapper:
+Two mechanisms make it a serving tier rather than a socket wrapper:
 
 * **Request coalescing.**  Queries against one target that are admitted
   before their flush runs share one :class:`~repro.service.queries.QueryBatch`
   and one :class:`~repro.service.engine.BatchQueryEngine` call.  The flush
-  runs ``window_ms`` after the batch's first query; at the default of 0 that
-  is the next event-loop turn, so an idle daemon answers at once and, under
-  load, a batch is every request that queued in the socket buffers while the
-  previous flush ran.  A flush encodes its replies in one pass and writes
-  once per connection.
+  runs on the event-loop turn after the batch's first query, so an idle
+  daemon answers at once and, under load, a batch is every request that
+  queued in the socket buffers while the previous flush ran.  A flush
+  encodes its replies in one pass and writes once per connection.
 
 * **Admission control.**  The pending-queue depth is bounded
   (``max_pending`` across all targets) and every connection has an in-flight
@@ -22,14 +21,10 @@ Three mechanisms make it a serving tier rather than a socket wrapper:
   admitted queries stays flat and the rejection is explicit, retryable
   signal rather than a hang.
 
-* **Degradation ladder.**  A query is served from the freshest state that
-  exists: a cached engine (hot), else the synopsis re-resolved through the
-  :class:`~repro.service.store.SynopsisStore` — whose own LRU may have
-  degraded the entry to a disk/mmap hit — else, when even the store misses
-  (and ``build_on_miss`` is off, the default: a loaded daemon must not
-  block its event loop on a dynamic program), an explicit ``unavailable``
-  rejection.  Nothing on the query path ever waits on a rebuild it did not
-  ask for.
+Each target gets one engine, built (or fetched through the
+:class:`~repro.service.store.SynopsisStore`) by :meth:`ServingDaemon.warm`
+at start-up and kept until the daemon stops, so nothing on the query path
+ever looks a synopsis up or rebuilds one.
 
 Shutdown is graceful: :meth:`ServingDaemon.stop` stops accepting, flushes
 every pending query immediately, waits for the replies to drain and only
@@ -59,11 +54,8 @@ import contextlib
 import json
 import logging
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
-
-import numpy as np
 
 from ..core.spec import SynopsisSpec
 from ..exceptions import ProtocolError, SynopsisError, VersionMismatchError
@@ -92,14 +84,12 @@ from .protocol import (
     PROTOCOL_VERSION,
     STATUS_ERROR,
     STATUS_OVERLOADED,
-    STATUS_UNAVAILABLE,
     WIRE_OPS,
     QueryRequest,
     RequestId,
     encode_responses,
     error_response,
     parse_request_line,
-    request_id_of,
     # Not called here: perfbench's per-layer timers wrap this module attribute.
     responses_for,  # noqa: F401
 )
@@ -137,15 +127,10 @@ _STATS_SOURCES: Dict[str, Tuple[str, Optional[str]]] = {
     "coalesced_queries": ("repro_daemon_coalesced_queries_total", None),
     "largest_batch": ("repro_daemon_largest_batch", None),
     "overloaded": ("repro_daemon_admission_rejections_total", None),
-    "unavailable": ("repro_daemon_errors_total", "unavailable"),
     "protocol_errors": ("repro_daemon_errors_total", "protocol"),
     "version_rejections": ("repro_daemon_errors_total", "version"),
     "invalid_queries": ("repro_daemon_errors_total", "invalid_query"),
     "internal_errors": ("repro_daemon_errors_total", "internal"),
-    "engine_cache_hits": ("repro_daemon_ladder_total", "hot"),
-    "engine_store_resolutions": ("repro_daemon_ladder_total", "store"),
-    "engine_builds": ("repro_daemon_ladder_total", "build"),
-    "engine_evictions": ("repro_daemon_engine_evictions_total", None),
     "drained_queries": ("repro_daemon_drained_queries_total", None),
 }
 
@@ -183,34 +168,21 @@ def _query_fields(payload: Any) -> Optional[Tuple[RequestId, int, int, int, Opti
 class DaemonConfig:
     """Tunables for :class:`ServingDaemon`, validated at construction.
 
-    ``window_ms`` delays a batch's flush past its first query, trading
-    latency for coalescing (0, the default, flushes on the next event-loop
-    turn); ``max_pending`` / ``max_inflight_per_client`` are the
-    admission-control limits; ``max_batch`` flushes a batch early once
-    enough queries have coalesced; ``max_engines`` bounds the hot engine
-    cache (evicted targets degrade to a store re-resolution);
-    ``build_on_miss`` decides the bottom rung of the degradation ladder
-    (rebuild synchronously vs. reject with ``unavailable``);
-    ``allow_remote_shutdown`` honours the wire ``shutdown`` op;
-    ``slow_query_ms`` (``None`` = off) is the forensics threshold
-    — any flush whose wall time reaches it emits one structured JSON record
-    (query, coalesced batch size, degradation-ladder rung, span tree) on the
+    ``max_pending`` / ``max_inflight_per_client`` are the admission-control
+    limits; ``allow_remote_shutdown`` honours the wire ``shutdown`` op;
+    ``slow_query_ms`` (``None`` = off) is the forensics threshold — any
+    flush whose wall time reaches it emits one structured JSON record
+    (queries, coalesced batch size, span tree) on the
     ``repro.daemon.slow_query`` logger.
     """
 
-    window_ms: float = 0.0
     max_pending: int = 1024
     max_inflight_per_client: int = 64
-    max_batch: int = 4096
-    max_engines: int = 8
-    build_on_miss: bool = False
     allow_remote_shutdown: bool = False
     slow_query_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.window_ms < 0:
-            raise SynopsisError("the micro-batching window must be non-negative")
-        for name in ("max_pending", "max_inflight_per_client", "max_batch", "max_engines"):
+        for name in ("max_pending", "max_inflight_per_client"):
             if int(getattr(self, name)) <= 0:
                 raise SynopsisError(f"{name} must be positive")
         if self.slow_query_ms is not None and self.slow_query_ms < 0:
@@ -224,10 +196,8 @@ class ServingStats:
     registry (see :data:`_STATS_SOURCES`), so ``stats`` and ``metrics`` agree
     by construction.  ``engine_batches`` vs. ``queries_answered`` is the
     coalescing story: their ratio is the average batch the engine amortised
-    one evaluation over.  ``overloaded`` / ``unavailable`` count explicit
-    rejections (admission control and the degradation-ladder bottom
-    respectively), and the ``engine_*`` counters break down which rung of the
-    ladder resolved each engine lookup.
+    one evaluation over.  ``overloaded`` counts admission-control
+    rejections.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -301,8 +271,8 @@ class ServingDaemon:
         summarise; needed to warm targets through the store and to compute
         per-item expected errors for attribution.
     store:
-        The :class:`~repro.service.store.SynopsisStore` fronting the builds
-        (its LRU/disk behaviour *is* the middle of the degradation ladder).
+        The :class:`~repro.service.store.SynopsisStore` :meth:`warm` builds
+        (or fetches) every target through.
     targets:
         ``name -> SynopsisSpec`` for every synopsis this daemon serves.
         Each spec must name a single budget (no sweeps).
@@ -373,26 +343,15 @@ class ServingDaemon:
         )
         self._m_rejections = {reason: rejections.labels(reason=reason)
                               for reason in ("draining", "inflight", "pending")}
-        ladder = reg.counter(
-            "repro_daemon_ladder_total",
-            "Engine resolutions by degradation-ladder rung",
-            labelnames=("rung",),
-        )
-        self._m_ladder = {rung: ladder.labels(rung=rung)
-                          for rung in ("hot", "store", "build", "unavailable")}
         errors = reg.counter(
             "repro_daemon_errors_total",
-            "Requests answered with an error, by cause (internal and unavailable "
-            "count queries)",
+            "Requests answered with an error, by cause (internal counts queries)",
             labelnames=("cause",),
         )
         self._m_errors = {
             cause: errors.labels(cause=cause)
-            for cause in ("protocol", "version", "invalid_query", "internal", "unavailable")
+            for cause in ("protocol", "version", "invalid_query", "internal")
         }
-        self._m_evictions = reg.counter(
-            "repro_daemon_engine_evictions_total", "Hot engines evicted by the LRU cap"
-        )
         self._m_pending = reg.gauge(
             "repro_daemon_pending_queries", "Queries admitted and waiting for their flush"
         )
@@ -407,12 +366,9 @@ class ServingDaemon:
         self._log = get_logger("daemon")
         self._slow_log = get_logger("daemon.slow_query")
         self._overload_limiter = RateLimiter(interval_seconds=1.0)
-        self._engines: "OrderedDict[str, BatchQueryEngine]" = OrderedDict()
-        self._errors: Dict[str, np.ndarray] = {}
-        self._domain_sizes: Dict[str, int] = {}
+        self._engines: Dict[str, BatchQueryEngine] = {}
         self._pending: Dict[str, _PendingQueries] = {}
         self._pending_total = 0
-        self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
         self._stop_task: Optional["asyncio.Task[None]"] = None
         self._handler_tasks: Set["asyncio.Task[None]"] = set()
         self._connections: Set[_Connection] = set()
@@ -420,7 +376,6 @@ class ServingDaemon:
         self._address: Optional[Tuple[str, int]] = None
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
-        self._warmed = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -448,7 +403,6 @@ class ServingDaemon:
             "op": OP_INFO,
             "version": PROTOCOL_VERSION,
             "default_target": self._default_target,
-            "window_ms": self._config.window_ms,
             "max_pending": self._config.max_pending,
             "max_inflight_per_client": self._config.max_inflight_per_client,
             "targets": {
@@ -456,87 +410,33 @@ class ServingDaemon:
                     "kind": spec.kind,
                     "budget": spec.budgets[0],
                     "metric": spec.metric.describe(),
-                    "domain_size": self._domain_sizes.get(name),
+                    "domain_size": (
+                        self._engines[name].synopsis.domain_size
+                        if name in self._engines else None
+                    ),
                 }
                 for name, spec in self._targets.items()
             },
         }
 
     # ------------------------------------------------------------------
-    # Warm-up and the engine degradation ladder
+    # Warm-up
     # ------------------------------------------------------------------
     def warm(self) -> None:
         """Build (or fetch) every target through the store, once, up front.
 
-        Also computes each target's per-item expected errors, which every
-        answer's attributed error is read from; the vectors are kept
-        independently of the engine cache so an engine rebuilt after LRU
-        eviction keeps its attribution without re-running the exact
-        evaluation.
+        Each target's engine, with the per-item expected errors every
+        answer's attributed error is read from, serves it until the daemon
+        stops.
         """
-        if self._warmed:
-            return
-        from ..evaluation.errors import per_item_expected_errors
-
         for name, spec in self._targets.items():
-            synopsis = self._store.get_or_build(
-                self._data, spec, fingerprint=self._fingerprint
-            )
-            self._domain_sizes[name] = synopsis.domain_size
-            self._errors[name] = per_item_expected_errors(
-                self._data, synopsis, spec.metric, workload=spec.workload
-            )
-            self._cache_engine(
-                name,
-                BatchQueryEngine(
-                    synopsis, per_item_errors=self._errors[name], metric=spec.metric
-                ),
-            )
-        self._warmed = True
-
-    def _cache_engine(self, name: str, engine: BatchQueryEngine) -> None:
-        self._engines[name] = engine
-        self._engines.move_to_end(name)
-        while len(self._engines) > self._config.max_engines:
-            evicted, _ = self._engines.popitem(last=False)
-            self._m_evictions.inc()
-            log_event(
-                self._log, logging.INFO, "daemon.engine_evicted",
-                target=evicted, max_engines=self._config.max_engines,
-            )
-
-    def _resolve_engine(self, name: str) -> Tuple[Optional[BatchQueryEngine], str]:
-        """``(engine, rung)`` for ``name`` via the degradation ladder.
-
-        Hot cache (``"hot"``) -> store re-resolution (``"store"``; the
-        store's own memory LRU may degrade this to a disk/mmap hit) ->
-        optional synchronous rebuild (``"build"``) -> ``(None,
-        "unavailable")`` (the caller answers ``unavailable``).  The rung is
-        counted per resolution and carried into the slow-query log.
-        """
-        engine = self._engines.get(name)
-        if engine is not None:
-            self._engines.move_to_end(name)
-            self._m_ladder["hot"].inc()
-            return engine, "hot"
-        spec = self._targets[name]
-        synopsis = self._store.get(spec.store_key(self._fingerprint))
-        if synopsis is not None:
-            rung = "store"
-        elif self._config.build_on_miss:
-            synopsis = self._store.get_or_build(
-                self._data, spec, fingerprint=self._fingerprint
-            )
-            rung = "build"
-        else:
-            self._m_ladder["unavailable"].inc()
-            return None, "unavailable"
-        self._m_ladder[rung].inc()
-        engine = BatchQueryEngine(
-            synopsis, per_item_errors=self._errors.get(name), metric=spec.metric
-        )
-        self._cache_engine(name, engine)
-        return engine, rung
+            if name not in self._engines:
+                synopsis = self._store.get_or_build(
+                    self._data, spec, fingerprint=self._fingerprint
+                )
+                self._engines[name] = BatchQueryEngine.from_model(
+                    synopsis, self._data, spec.metric, workload=spec.workload
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -566,8 +466,7 @@ class ServingDaemon:
         log_event(
             self._log, logging.INFO, "daemon.listen",
             host=self._address[0], port=self._address[1],
-            targets=sorted(self._targets), window_ms=self._config.window_ms,
-            max_pending=self._config.max_pending,
+            targets=sorted(self._targets), max_pending=self._config.max_pending,
         )
         return self._address
 
@@ -581,9 +480,9 @@ class ServingDaemon:
         """Graceful shutdown: stop accepting, flush, drain, close.
 
         Every query already admitted is answered — pending batches are
-        flushed immediately rather than waiting for their scheduled flush,
-        and the daemon waits (bounded by :data:`DRAIN_TIMEOUT_SECONDS`) for
-        every open connection's replies to drain before closing connections.
+        flushed at once, ahead of their scheduled flush — and the daemon
+        waits (bounded by :data:`DRAIN_TIMEOUT_SECONDS`) for every open
+        connection's replies to drain before closing connections.
         """
         if self._draining:
             if self._stopped is not None:
@@ -598,7 +497,7 @@ class ServingDaemon:
         )
         drained = self._pending_total
         for name in list(self._pending):
-            self._flush_now(name)
+            self._flush(name)
         self._m_drained.inc(drained)
         connections = list(self._connections)
         drains = asyncio.gather(
@@ -679,7 +578,7 @@ class ServingDaemon:
             # in flight before hanging up rather than at its scheduled flush.
             for target in [name for name, pending in self._pending.items()
                            if connection in pending.connections]:
-                self._flush_now(target)
+                self._flush(target)
             await writer.drain()
         except ConnectionError:
             pass
@@ -726,7 +625,7 @@ class ServingDaemon:
         try:
             payload = parse_request_line(line)
         except ProtocolError as exc:
-            self._reject_invalid(connection, request_id_of(line), str(exc))
+            self._reject_invalid(connection, None, str(exc))
             return
         op = payload.pop("op", OP_QUERY)
         if op not in WIRE_OPS:
@@ -790,12 +689,13 @@ class ServingDaemon:
                end: int, target: Optional[str], payload: Dict[str, Any]) -> None:
         """Check one valid query's target, range and admission; enqueue or reject it."""
         target = target or self._default_target
-        if target not in self._targets:
+        engine = self._engines.get(target)
+        if engine is None:
             self._m_errors["invalid_query"].inc()
             connection.reject(request_id, f"unknown target {target!r}")
             return
-        domain_size = self._domain_sizes.get(target)
-        if domain_size is not None and end >= domain_size:
+        domain_size = engine.synopsis.domain_size
+        if end >= domain_size:
             # Validated per query at admission so one bad range can never
             # poison the coalesced batch it would have joined.
             self._m_errors["invalid_query"].inc()
@@ -849,7 +749,11 @@ class ServingDaemon:
                  connection: _Connection, payload: Dict[str, Any]) -> None:
         pending = self._pending.get(target)
         if pending is None:
+            # The first query of a batch schedules its flush on the next
+            # event-loop turn; every query admitted before it runs rides the
+            # same engine call.
             pending = self._pending[target] = _PendingQueries()
+            asyncio.get_running_loop().call_soon(self._flush, target)
         pending.ids.append(request_id)
         pending.kinds.append(kind)
         pending.starts.append(start)
@@ -857,23 +761,6 @@ class ServingDaemon:
         pending.connections.append(connection)
         pending.payloads.append(payload)
         self._pending_total += 1
-        if len(pending.ids) >= self._config.max_batch:
-            self._flush_now(target)
-        elif target not in self._flush_handles:
-            # The first query of a batch schedules its flush; every query
-            # admitted before it runs rides the same engine call.  With a
-            # zero window that is every line read in this loop turn.
-            loop = asyncio.get_running_loop()
-            self._flush_handles[target] = loop.call_later(
-                self._config.window_ms / 1000.0, self._flush_now, target
-            )
-
-    def _flush_now(self, target: str) -> None:
-        """Flush ``target``, cancelling its scheduled flush (a no-op from the timer itself)."""
-        handle = self._flush_handles.pop(target, None)
-        if handle is not None:
-            handle.cancel()
-        self._flush(target)
 
     def _flush(self, target: str) -> None:
         """Answer everything pending for ``target`` with one engine call.
@@ -882,7 +769,8 @@ class ServingDaemon:
         evaluation, the replies are encoded in one pass, and each connection
         gets its replies of this batch in one write.  Any failure is
         converted into per-query error responses — the daemon never crashes
-        a connection over one bad batch.
+        a connection over one bad batch.  Shutdown and a closing connection
+        flush ahead of the scheduled call, which then finds nothing pending.
         """
         pending = self._pending.pop(target, None)
         if pending is None:
@@ -897,20 +785,18 @@ class ServingDaemon:
             # telemetry flag) so a slow flush can be logged with full
             # per-stage forensics; detach so the tree roots at this flush.
             with capture_spans(detach=True) as flush_spans:
-                lines, rung = self._answer_pending(target, pending)
+                lines = self._answer_pending(target, pending)
         else:
             flush_spans = []
-            lines, rung = self._answer_pending(target, pending)
+            lines = self._answer_pending(target, pending)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self._m_flush_ms.observe(elapsed_ms)
         if trace_flush and elapsed_ms >= float(self._config.slow_query_ms or 0.0):
             self._m_slow.inc()
             log_event(
                 self._slow_log, logging.WARNING, "daemon.slow_query",
-                target=target, batch=size, rung=rung,
-                wall_ms=round(elapsed_ms, 4),
+                target=target, batch=size, wall_ms=round(elapsed_ms, 4),
                 threshold_ms=self._config.slow_query_ms,
-                window_ms=self._config.window_ms,
                 queries=[QueryRequest.from_dict(payload).to_dict()
                          for payload in pending.payloads[:8]],
                 spans=[record.to_dict() for record in flush_spans],
@@ -922,56 +808,28 @@ class ServingDaemon:
         for connection, chunks in replies.items():
             connection.write(b"".join(chunks))
 
-    def _answer_pending(self, target: str, pending: _PendingQueries) -> Tuple[List[bytes], str]:
-        """Resolve and answer one coalesced batch; never raises.
-
-        Returns the per-query wire lines plus the degradation-ladder rung the
-        engine came from (``"error"`` when the batch failed internally).
-        """
+    def _answer_pending(self, target: str, pending: _PendingQueries) -> List[bytes]:
+        """The per-query wire lines of one coalesced batch; never raises."""
         ids = pending.ids
         size = len(ids)
-        rung = "error"
-        with span("daemon.flush", target=target, batch=size) as trace:
+        with span("daemon.flush", target=target, batch=size):
             try:
-                with span("daemon.resolve_engine", target=target):
-                    engine, rung = self._resolve_engine(target)
-                if engine is None:
-                    self._m_errors["unavailable"].inc(size)
-                    lines = _error_lines(
-                        ids,
-                        f"target {target!r} is not materialised and build_on_miss "
-                        "is disabled",
-                        STATUS_UNAVAILABLE,
+                engine = self._engines[target]
+                with span("daemon.answer", batch=size):
+                    batch = QueryBatch(pending.kinds, pending.starts, pending.ends)
+                    lines = encode_responses(
+                        ids, engine.answer(batch), engine.attribute_errors(batch)
                     )
-                else:
-                    with span("daemon.answer", batch=size):
-                        batch = QueryBatch(pending.kinds, pending.starts, pending.ends)
-                        answers = engine.answer(batch)
-                        errors = (
-                            engine.attribute_errors(batch)
-                            if engine.has_error_attribution
-                            else None
-                        )
-                        lines = encode_responses(ids, answers, errors)
-                    self._m_batches.inc()
-                    self._m_queries.inc(size)
-                    self._m_batch_size.observe(size)
-                    if size > self._m_largest_batch.value:
-                        self._m_largest_batch.set(size)
-                    if size > 1:
-                        self._m_coalesced.inc(size)
+                self._m_batches.inc()
+                self._m_queries.inc(size)
+                self._m_batch_size.observe(size)
+                if size > self._m_largest_batch.value:
+                    self._m_largest_batch.set(size)
+                if size > 1:
+                    self._m_coalesced.inc(size)
             except Exception as exc:  # noqa: BLE001 - the daemon must not die
                 self._m_errors["internal"].inc(size)
-                lines = _error_lines(
-                    ids, f"internal error answering batch: {exc}", STATUS_ERROR
-                )
-            trace.set(rung=rung)
-        return lines, rung
-
-
-def _error_lines(ids: List[RequestId], detail: str, status: str) -> List[bytes]:
-    """The same rejection as one wire line per query id."""
-    return [
-        (error_response(request_id, detail, status=status).to_json() + "\n").encode("utf-8")
-        for request_id in ids
-    ]
+                detail = f"internal error answering batch: {exc}"
+                lines = [(error_response(request_id, detail).to_json() + "\n").encode("utf-8")
+                         for request_id in ids]
+        return lines

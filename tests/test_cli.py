@@ -309,6 +309,17 @@ class TestServe:
         args = build_parser().parse_args(["serve", "--input", "m.json", "--store", "s"])
         assert _daemon_config(args) == DaemonConfig()
 
+    @pytest.mark.parametrize(
+        "flag", ["--window-ms=1", "--max-batch=4", "--max-engines=2", "--build-on-miss"]
+    )
+    def test_removed_daemon_flags_are_refused(self, flag, capsys):
+        # Each target keeps one engine and every batch flushes on the next
+        # loop turn, so these knobs are gone; a script still passing one fails.
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--input", "m.json", "--store", "s", flag])
+        assert exited.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestTelemetryCommand:
     def test_serve_then_scrape_validates_and_writes_the_exposition(

@@ -2,8 +2,8 @@
 
 Every test runs a real :class:`ServingDaemon` on an ephemeral port inside its
 own event loop and talks to it over actual sockets — coalescing, admission
-control, the degradation ladder and graceful shutdown are exercised as a
-client would see them, not via private state.
+control, per-target engines and graceful shutdown are exercised as a client
+would see them, not via private state.
 """
 
 import asyncio
@@ -61,6 +61,14 @@ def daemon_factory(model, spec, tmp_path):
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def query_lines(count):
+    """``count`` point queries, ids ``q0``, ``q1``, …, as one write's bytes."""
+    return b"".join(
+        (QueryRequest.point(f"q{i}", i % DOMAIN).to_json() + "\n").encode()
+        for i in range(count)
+    )
 
 
 async def _with_daemon(daemon, body):
@@ -223,29 +231,36 @@ class TestDaemonClient:
 
 class TestCoalescing:
     def test_concurrent_queries_share_engine_calls(self, daemon_factory):
-        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=20.0))
+        daemon, _ = daemon_factory()
 
         async def body(host, port):
-            async def one(item):
-                client = await DaemonClient.connect(host, port)
-                try:
-                    return await client.query(QueryRequest.point(f"q{item}", item))
-                finally:
-                    await client.close()
+            streams = [await asyncio.open_connection(host, port) for _ in range(40)]
+            try:
+                # A pong on each shows every connection is being read.
+                for reader, writer in streams:
+                    writer.write(b'{"op":"ping"}\n')
+                    await writer.drain()
+                    assert json.loads(await reader.readline())["op"] == "pong"
+                # One query per connection, all written in this loop turn: the
+                # daemon reads them all before the flush the first one schedules.
+                for item, (_, writer) in enumerate(streams):
+                    writer.write((QueryRequest.point(f"q{item}", item).to_json() + "\n").encode())
+                return [json.loads(await reader.readline()) for reader, _ in streams]
+            finally:
+                for _, writer in streams:
+                    writer.close()
+                    await writer.wait_closed()
 
-            responses = await asyncio.gather(*(one(item % DOMAIN) for item in range(40)))
-            assert all(response.ok for response in responses)
-
-        run(_with_daemon(daemon, body))
-        # Strictly fewer engine calls than queries is the whole point of the
-        # micro-batching window.
+        replies = run(_with_daemon(daemon, body))
+        assert [reply["id"] for reply in replies] == [f"q{item}" for item in range(40)]
+        assert {reply["status"] for reply in replies} == {"ok"}
         assert daemon.stats.queries_answered == 40
-        assert daemon.stats.engine_batches < 40
-        assert daemon.stats.coalesced_queries > 0
-        assert daemon.stats.largest_batch > 1
+        assert daemon.stats.engine_batches == 1
+        assert daemon.stats.coalesced_queries == 40
+        assert daemon.stats.largest_batch == 40
 
     def test_one_write_of_queries_is_one_engine_batch(self, daemon_factory):
-        daemon, _ = daemon_factory()  # the default window: flush on the next turn
+        daemon, _ = daemon_factory()
 
         async def body(host, port):
             reader, writer = await asyncio.open_connection(host, port)
@@ -267,70 +282,56 @@ class TestCoalescing:
         assert daemon.stats.engine_batches == 1
         assert daemon.stats.largest_batch == 50
 
-    def test_full_window_flushes_early_at_max_batch(self, daemon_factory):
-        daemon, _ = daemon_factory(
-            config=DaemonConfig(window_ms=10_000.0, max_batch=4)
-        )
+    def test_shutdown_answers_the_queries_admitted_before_it(self, daemon_factory):
+        daemon, _ = daemon_factory(config=DaemonConfig(allow_remote_shutdown=True))
 
-        async def body(host, port):
-            client = await DaemonClient.connect(host, port)
+        async def body():
+            host, port = await daemon.start(port=0)
+            reader, writer = await asyncio.open_connection(host, port)
             try:
-                for i in range(4):
-                    await client.send(QueryRequest.point(i, i).to_dict())
-                replies = [await client.recv() for _ in range(4)]
+                # One read: the shutdown schedules stop(), then the queries
+                # behind it are admitted and schedule their flush.  stop()
+                # runs first, finds them pending and answers them itself.
+                writer.write(b'{"op":"shutdown"}\n' + query_lines(3))
+                await writer.drain()
+                replies = [json.loads(await reader.readline()) for _ in range(4)]
             finally:
-                await client.close()
-            # The 10-second window never fired; four queries hit max_batch
-            # and flushed immediately as one engine call.
-            assert {reply["status"] for reply in replies} == {"ok"}
+                writer.close()
+                await writer.wait_closed()
+            await asyncio.wait_for(daemon.serve_until_stopped(), timeout=10.0)
+            return replies
 
-        run(_with_daemon(daemon, body))
-        assert daemon.stats.engine_batches == 1
-        assert daemon.stats.largest_batch == 4
-
-    def test_shutdown_drains_an_armed_window(self, daemon_factory):
-        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=10_000.0))
-
-        async def body(host, port):
-            client = await DaemonClient.connect(host, port)
-            try:
-                await client.send(QueryRequest.point("pending", 1).to_dict())
-                # Give the dispatcher a beat to admit and arm the window,
-                # then stop: the drain must answer the parked query rather
-                # than wait out the 10-second timer.
-                await asyncio.sleep(0.05)
-                await daemon.stop()
-                reply = await client.recv()
-            finally:
-                await client.close()
-            assert reply["status"] == "ok"
-            assert reply["id"] == "pending"
-
-        run(_with_daemon(daemon, body))
-        assert daemon.stats.drained_queries == 1
-        assert daemon.stats.queries_answered == 1
+        ack, *answers = run(body())
+        assert ack == {"op": "shutdown", "version": PROTOCOL_VERSION, "status": "draining"}
+        assert [answer["id"] for answer in answers] == ["q0", "q1", "q2"]
+        assert {answer["status"] for answer in answers} == {"ok"}
+        assert daemon.stats.drained_queries == 3
+        assert daemon.stats.queries_answered == 3
 
 
 class TestAdmissionControl:
     def test_pending_cap_returns_overloaded_not_a_hang(self, daemon_factory):
         daemon, _ = daemon_factory(
-            config=DaemonConfig(window_ms=200.0, max_pending=5,
-                                max_inflight_per_client=1000)
+            config=DaemonConfig(max_pending=5, max_inflight_per_client=1000)
         )
 
         async def body(host, port):
-            client = await DaemonClient.connect(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
             try:
-                for i in range(20):
-                    await client.send(QueryRequest.point(i, i % DOMAIN).to_dict())
+                # One write: the burst is admitted in one read, before its flush.
+                writer.write(query_lines(20))
+                await writer.drain()
                 replies = [
-                    await asyncio.wait_for(client.recv(), timeout=5.0)
+                    json.loads(await asyncio.wait_for(reader.readline(), timeout=5.0))
                     for _ in range(20)
                 ]
                 # The burst's rejections leave the connection usable.
-                pong = await asyncio.wait_for(client.round_trip({"op": "ping"}), 5.0)
+                writer.write(b'{"op":"ping"}\n')
+                await writer.drain()
+                pong = json.loads(await asyncio.wait_for(reader.readline(), timeout=5.0))
             finally:
-                await client.close()
+                writer.close()
+                await writer.wait_closed()
             return replies, pong
 
         replies, pong = run(_with_daemon(daemon, body))
@@ -346,22 +347,21 @@ class TestAdmissionControl:
 
     def test_per_client_inflight_cap(self, daemon_factory):
         daemon, _ = daemon_factory(
-            config=DaemonConfig(window_ms=200.0, max_inflight_per_client=3,
-                                max_pending=1000)
+            config=DaemonConfig(max_inflight_per_client=3, max_pending=1000)
         )
 
         async def body(host, port):
-            client = await DaemonClient.connect(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
             try:
-                for i in range(10):
-                    await client.send(QueryRequest.point(i, i % DOMAIN).to_dict())
-                replies = [
-                    await asyncio.wait_for(client.recv(), timeout=5.0)
+                writer.write(query_lines(10))
+                await writer.drain()
+                return [
+                    json.loads(await asyncio.wait_for(reader.readline(), timeout=5.0))
                     for _ in range(10)
                 ]
             finally:
-                await client.close()
-            return replies
+                writer.close()
+                await writer.wait_closed()
 
         replies = run(_with_daemon(daemon, body))
         statuses = [reply["status"] for reply in replies]
@@ -535,67 +535,33 @@ class TestProtocolRejections:
         assert daemon.stats.queries_answered == 1
 
 
-class TestDegradationLadder:
-    def test_evicted_engine_is_rebuilt_from_the_store(self, daemon_factory):
-        daemon, store = daemon_factory(config=DaemonConfig(max_engines=1))
+class TestEnginesPerTarget:
+    def test_every_target_keeps_its_engine(self, daemon_factory, spec, monkeypatch):
+        targets = {"default": spec}
+        targets.update({f"b{budget}": spec.with_budget(budget) for budget in range(2, 11)})
+        daemon, _ = daemon_factory(targets=targets)
+
+        def unreachable(self, key):
+            raise AssertionError("a running daemon looked a synopsis up in the store")
 
         async def body(host, port):
+            # Every engine was built at start(); none is looked up again.
+            monkeypatch.setattr(SynopsisStore, "get", unreachable)
             client = await DaemonClient.connect(host, port)
             try:
-                # Warm-up cached "wave" last; querying "default" evicts it,
-                # then querying "wave" again must re-resolve via the store.
-                first = await client.query(QueryRequest.point("a", 1))
-                second = await client.query(QueryRequest.point("b", 1, target="wave"))
+                return [
+                    await client.query(QueryRequest.point(f"{name}-{turn}", 3, target=name))
+                    for turn in range(2)
+                    for name in targets
+                ]
             finally:
                 await client.close()
-            assert first.ok and second.ok
 
-        run(_with_daemon(daemon, body))
-        assert daemon.stats.engine_evictions >= 2
-        assert daemon.stats.engine_store_resolutions >= 1
-
-    def test_store_miss_without_build_on_miss_is_unavailable(self, daemon_factory):
-        daemon, store = daemon_factory(config=DaemonConfig(max_engines=1))
-
-        async def body(host, port):
-            client = await DaemonClient.connect(host, port)
-            try:
-                # Evict "wave" from the engine cache and erase every copy of
-                # it: the bottom of the ladder is an explicit rejection, not
-                # a blocking rebuild.
-                await client.query(QueryRequest.point("a", 1))
-                store.clear_memory()
-                store.clear_disk()
-                rejected = await client.query(QueryRequest.point("b", 1, target="wave"))
-                alive = await client.query(QueryRequest.point("c", 1))
-            finally:
-                await client.close()
-            assert rejected.status == "unavailable"
-            assert "build_on_miss" in rejected.detail
-            assert alive.ok
-
-        run(_with_daemon(daemon, body))
-        assert daemon.stats.unavailable == 1
-
-    def test_build_on_miss_rebuilds_instead(self, daemon_factory):
-        daemon, store = daemon_factory(
-            config=DaemonConfig(max_engines=1, build_on_miss=True)
-        )
-
-        async def body(host, port):
-            client = await DaemonClient.connect(host, port)
-            try:
-                await client.query(QueryRequest.point("a", 1))
-                store.clear_memory()
-                store.clear_disk()
-                rebuilt = await client.query(QueryRequest.point("b", 1, target="wave"))
-            finally:
-                await client.close()
-            assert rebuilt.ok
-
-        run(_with_daemon(daemon, body))
-        assert daemon.stats.engine_builds == 1
-        assert daemon.stats.unavailable == 0
+        responses = run(_with_daemon(daemon, body))
+        assert len(responses) == 20
+        assert all(response.ok for response in responses)
+        assert daemon.stats.queries_answered == 20
+        assert daemon.stats.internal_errors == 0
 
 
 class TestDeterminism:
@@ -630,8 +596,6 @@ class TestTelemetryIntegration:
         "repro_daemon_batch_size",
         "repro_daemon_flush_latency_ms",
         "repro_daemon_admission_rejections_total",
-        "repro_daemon_ladder_total",
-        "repro_daemon_engine_evictions_total",
         "repro_daemon_pending_queries",
         "repro_daemon_slow_queries_total",
         "repro_daemon_errors_total",
@@ -681,8 +645,9 @@ class TestTelemetryIntegration:
         assert samples[("repro_daemon_largest_batch", ())] == 1
         assert samples[("repro_daemon_requests_total", (("op", "query"),))] == 6
         assert samples[("repro_daemon_requests_total", (("op", "metrics"),))] == 1
-        # The warmed engines answered from cache.
-        assert samples[("repro_daemon_ladder_total", (("rung", "hot"),))] == 6
+        # Both targets were built once, at start(), and never looked up again.
+        assert samples[("repro_store_builds_total", ())] == 2
+        assert samples[("repro_store_memory_hits_total", ())] == 0
         assert samples[("repro_daemon_errors_total", (("cause", "protocol"),))] == 0
 
     def test_build_spans_reach_the_metric_families(self, daemon_factory):
@@ -709,9 +674,7 @@ class TestTelemetryIntegration:
         assert {"build.synopsis", "store.get_or_build", "store.build"} <= spans
 
     def test_slow_query_log_carries_the_span_tree(self, daemon_factory, caplog):
-        daemon, _ = daemon_factory(
-            config=DaemonConfig(window_ms=1.0, slow_query_ms=0.0)
-        )
+        daemon, _ = daemon_factory(config=DaemonConfig(slow_query_ms=0.0))
 
         async def body(host, port):
             client = await DaemonClient.connect(host, port)
@@ -731,18 +694,18 @@ class TestTelemetryIntegration:
         fields = records[0].event_fields
         assert fields["target"] == "default"
         assert fields["batch"] >= 1
-        assert fields["rung"] == "hot"
+        assert "rung" not in fields
         assert fields["wall_ms"] >= 0.0
         assert fields["threshold_ms"] == 0.0
         assert fields["queries"][0]["id"] == "slow"
         trees = fields["spans"]
         assert [tree["name"] for tree in trees] == ["daemon.flush"]
         children = {child["name"] for child in trees[0]["children"]}
-        assert {"daemon.resolve_engine", "daemon.answer"} <= children
+        assert children == {"daemon.answer"}
         json.dumps(fields)  # the record is one JSON-safe object
 
     def test_no_slow_query_log_without_a_threshold(self, daemon_factory, caplog):
-        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=1.0))
+        daemon, _ = daemon_factory()
 
         async def body(host, port):
             client = await DaemonClient.connect(host, port)

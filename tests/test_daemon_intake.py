@@ -27,7 +27,7 @@ from repro.service import (
     SynopsisStore,
     error_response,
 )
-from repro.service.protocol import parse_request_line, request_id_of
+from repro.service.protocol import parse_request_line
 from repro.service.server import MAX_LINE_BYTES
 from repro.telemetry import parse_prometheus_text
 
@@ -121,7 +121,7 @@ def reference_replies(lines, info, engines):
         try:
             payload = parse_request_line(line)
         except ProtocolError as exc:
-            immediate.append(_error(request_id_of(line), str(exc)))
+            immediate.append(_error(None, str(exc)))
             continue
         op = payload.pop("op", "query")
         if op == "ping":

@@ -3,9 +3,8 @@
 One scripted session on one connection moves every ``stats`` key that a
 single client can move: coalesced queries, the in-flight cap, a malformed
 line, an unknown op, a version mismatch, an out-of-domain query and a query
-for an unknown target.  The keys it cannot reach (drained queries,
-``unavailable``, the store and build rungs of the ladder, evictions) are
-pinned by their own tests in ``tests/test_daemon.py``.
+for an unknown target.  The one key it cannot reach, drained queries, is
+pinned by its own test in ``tests/test_daemon.py``.
 
 Every ``stats`` key reads one instrument of the daemon's own registry, so
 the ``metrics`` scrape agrees with it, and two daemons in one process do not
@@ -28,9 +27,9 @@ TARGETS = {
     "default": SynopsisSpec(kind="histogram", budget=8, metric="sse"),
     "wave": SynopsisSpec(kind="wavelet", budget=6, metric="sse"),
 }
-# The window holds each batch open long enough for one write to be read whole,
-# and the in-flight cap is what overloads the one connection.
-CONFIG = DaemonConfig(window_ms=100.0, max_pending=4, max_inflight_per_client=3)
+# One write is read whole before the flush its first query schedules, and the
+# in-flight cap is what overloads the one connection.
+CONFIG = DaemonConfig(max_pending=4, max_inflight_per_client=3)
 STATS = b'{"op":"stats"}\n'
 METRICS = b'{"op":"metrics"}\n'
 
@@ -97,9 +96,8 @@ def run_session(model, store_dir, *controls):
 GOLDEN_STATS = (
     b'{"op":"stats","version":2,"stats":{"connections":1,"requests":12,'
     b'"queries_answered":4,"engine_batches":2,"coalesced_queries":3,"largest_batch":3,'
-    b'"overloaded":2,"unavailable":0,"protocol_errors":2,"version_rejections":1,'
-    b'"invalid_queries":2,"internal_errors":0,"engine_cache_hits":2,'
-    b'"engine_store_resolutions":0,"engine_builds":0,"engine_evictions":0,'
+    b'"overloaded":2,"protocol_errors":2,"version_rejections":1,'
+    b'"invalid_queries":2,"internal_errors":0,'
     b'"drained_queries":0,"coalescing_factor":2.0},"store":{"lookups":2,"builds":2,'
     b'"memory_hits":0,"disk_hits":0,"puts":2,"evictions":0,"build_seconds":BUILD,'
     b'"disk_load_seconds":0.0,"disk_hits_by_backend":{}}}\n'
@@ -125,15 +123,10 @@ FAMILY_OF_KEY = {
     "coalesced_queries": ("repro_daemon_coalesced_queries_total", None),
     "largest_batch": ("repro_daemon_largest_batch", None),
     "overloaded": ("repro_daemon_admission_rejections_total", None),
-    "unavailable": ("repro_daemon_errors_total", ("cause", "unavailable")),
     "protocol_errors": ("repro_daemon_errors_total", ("cause", "protocol")),
     "version_rejections": ("repro_daemon_errors_total", ("cause", "version")),
     "invalid_queries": ("repro_daemon_errors_total", ("cause", "invalid_query")),
     "internal_errors": ("repro_daemon_errors_total", ("cause", "internal")),
-    "engine_cache_hits": ("repro_daemon_ladder_total", ("rung", "hot")),
-    "engine_store_resolutions": ("repro_daemon_ladder_total", ("rung", "store")),
-    "engine_builds": ("repro_daemon_ladder_total", ("rung", "build")),
-    "engine_evictions": ("repro_daemon_engine_evictions_total", None),
     "drained_queries": ("repro_daemon_drained_queries_total", None),
 }
 

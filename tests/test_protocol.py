@@ -23,7 +23,6 @@ from repro.service.protocol import (
     RESPONSE_STATUSES,
     STATUS_OVERLOADED,
     parse_request_line,
-    request_id_of,
 )
 
 
@@ -100,12 +99,6 @@ class TestQueryRequest:
     def test_lines_past_the_parser_limits_are_protocol_errors(self, line):
         with pytest.raises(ProtocolError, match="not valid JSON"):
             parse_request_line(line)
-        assert request_id_of(line) is None
-
-    def test_request_id_of_is_best_effort(self):
-        assert request_id_of(QueryRequest.point("q7", 1).to_json()) == "q7"
-        assert request_id_of("{broken") is None
-        assert request_id_of('{"id": true}') is None
 
 
 class TestVersionWindow:
